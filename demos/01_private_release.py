@@ -12,7 +12,6 @@ from dpqr import (
     release_dpam,
     release_dpfw,
     sample_dataset,
-    sample_synthetic,
     new_simplex,
 )
 
@@ -45,7 +44,7 @@ for release in (release_dpfw, release_dpam):
 
     # the released distribution is an ordinary simplex vector: post-process at will
     priv = new_simplex(report.p_priv)
-    synthetic = sample_synthetic(priv, 50_000, NoiseStream(8, "synth"))
+    synthetic = sample_dataset(priv, 50_000, NoiseStream(8, "synth"))
     syn_emp = empirical(synthetic, k)
     print(f"synthetic dataset of {synthetic.n} rows; "
           f"max_q <q, P_priv - emp(synthetic)> = "

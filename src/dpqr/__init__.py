@@ -38,8 +38,6 @@ from .mechanisms import (
     optimal_rdp_order,
     rdp_to_dp,
     report_noisy_max,
-    sample_gaussian_vec,
-    sample_laplace,
 )
 from .objective import (
     OracleDraw,
@@ -65,7 +63,6 @@ from .bench import (
     gen_workload,
     run_experiment,
     sample_dataset,
-    sample_synthetic,
 )
 from .report import RunReport
 from . import errors
@@ -126,9 +123,6 @@ __all__ = [
     "run_dpfw",
     "run_experiment",
     "sample_dataset",
-    "sample_gaussian_vec",
-    "sample_laplace",
-    "sample_synthetic",
     "smoothed_gradient_oracle",
     "smoothed_primal_mc",
     "softmax",

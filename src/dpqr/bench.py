@@ -39,6 +39,7 @@ from .dpfw import release_dpfw
 from .errors import InvalidSpec, ValidationError
 from .mechanisms import NoiseStream
 from .objective import max_query_error
+from .report import from_record, to_record
 
 _KIND_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
@@ -117,11 +118,6 @@ def sample_dataset(p: SimplexVector, n: int, rng: NoiseStream) -> Dataset:
     return new_dataset(np.minimum(idx, p.k - 1))
 
 
-def sample_synthetic(priv: SimplexVector, count: int, rng: NoiseStream) -> Dataset:
-    """Synthetic dataset drawn from a released distribution."""
-    return sample_dataset(priv, count, rng)
-
-
 def fit_loglog_slope(ns, errors) -> tuple[float, float]:
     """OLS slope and its standard error of log(error) on log(n)."""
     x = np.log(np.asarray(ns, dtype=float))
@@ -176,43 +172,11 @@ class ExperimentPlan:
             raise ValidationError("eps grid must be nonempty with eps > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "algorithms": list(self.algorithms),
-            "n_grid": list(self.n_grid),
-            "eps_grid": list(self.eps_grid),
-            "delta": self.delta,
-            "repetitions": self.repetitions,
-            "k": self.k,
-            "dist_kind": self.dist_kind,
-            "workload_kind": self.workload_kind,
-            "workload_m": self.workload_m,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "dpfw_inf_diameter": self.dpfw_inf_diameter,
-            "workers": self.workers,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        try:
-            return cls(
-                algorithms=tuple(d["algorithms"]) if not isinstance(d["algorithms"], str)
-                else (d["algorithms"],),
-                n_grid=tuple(int(x) for x in d["n_grid"]),
-                eps_grid=tuple(float(x) for x in d["eps_grid"]),
-                delta=float(d["delta"]),
-                repetitions=int(d["repetitions"]),
-                k=int(d["k"]),
-                dist_kind=str(d["dist_kind"]),
-                workload_kind=str(d["workload_kind"]),
-                workload_m=int(d["workload_m"]),
-                seed=int(d["seed"]),
-                alpha=None if d.get("alpha") is None else float(d["alpha"]),
-                dpfw_inf_diameter=bool(d.get("dpfw_inf_diameter", True)),
-                workers=int(d.get("workers", 1)),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"plan missing field {exc}") from exc
+        return from_record(cls, d)
 
 
 def default_plan(seed: int = 20240801) -> ExperimentPlan:
@@ -240,20 +204,9 @@ class ExperimentResult:
     slopes: list[dict]
     runtimes: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {"plan": dict(self.plan), "cells": list(self.cells), "slopes": list(self.slopes)}
-        if include_timings:
-            out["runtimes"] = dict(self.runtimes)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentResult":
-        return cls(
-            plan=dict(d["plan"]),
-            cells=list(d["cells"]),
-            slopes=list(d["slopes"]),
-            runtimes=dict(d.get("runtimes", {})),
-        )
+    def to_dict(self) -> dict:
+        """Everything but the wall-clock ``runtimes``, so files stay reproducible."""
+        return to_record(self, drop=("runtimes",))
 
 
 def _rep_seed(master: int, ai: int, ni: int, ei: int, rep: int) -> int:

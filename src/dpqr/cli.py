@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .bench import ExperimentPlan, ExperimentResult, gen_distribution, gen_workload
-from .bench import run_experiment, sample_dataset, sample_synthetic
+from .bench import run_experiment, sample_dataset
 from .core import (
     Dataset,
     PrivacyBudget,
@@ -86,8 +86,7 @@ def load_workload(path: str) -> QueryWorkload:
 def save_dataset(data: Dataset, k: int, path: str):
     with open(path, "w", newline="") as fh:
         fh.write(f"k={k}\n")
-        for z in data.points:
-            fh.write(f"{int(z)}\n")
+        fh.writelines(f"{z}\n" for z in data.points.tolist())
 
 
 def load_dataset(path: str) -> tuple[Dataset, int]:
@@ -142,8 +141,8 @@ def load_plan(path: str) -> ExperimentPlan:
     return ExperimentPlan.from_dict(_read_json(path))
 
 
-def write_result(result: ExperimentResult, path: str, include_timings: bool = False):
-    _write_json(result.to_dict(include_timings=include_timings), path)
+def write_result(result: ExperimentResult, path: str):
+    _write_json(result.to_dict(), path)
 
 
 def _alpha_arg(text: str):
@@ -271,7 +270,7 @@ def _cmd_sample(args) -> int:
     report = load_report(args.report)
     priv = new_simplex(report.p_priv)
     rng = NoiseStream(args.seed, "sample")
-    data = sample_synthetic(priv, args.count, rng)
+    data = sample_dataset(priv, args.count, rng)
     save_dataset(data, priv.k, args.out)
     return 0
 

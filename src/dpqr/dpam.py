@@ -34,7 +34,7 @@ from .core import (
     uniform,
 )
 from .entropy import ProxProblem, composite_prox
-from .errors import InvalidParams, ValidationError
+from .errors import InvalidParams
 from .mechanisms import AMSchedule, NoiseStream, dpam_schedule
 from .objective import WidthEstimate, gaussian_width, max_query_error, smoothed_gradient_oracle
 from .report import RunReport
@@ -49,8 +49,6 @@ class AMTrace:
     etas: np.ndarray
     eta_cumsums: np.ndarray
     row_indices: np.ndarray
-    schedule: AMSchedule
-    seed: int
 
     @property
     def T(self) -> int:
@@ -60,38 +58,26 @@ class AMTrace:
 def run_dpam(
     data: Dataset,
     workload: QueryWorkload,
-    budget: PrivacyBudget,
     alpha,
     rng: NoiseStream,
-    schedule: AMSchedule | None = None,
+    schedule: AMSchedule,
     zero_noise: bool = False,
-    entropy_weighting: str = "alpha",
     quiet: bool = False,
 ) -> tuple[SimplexVector, AMTrace]:
-    """Run the private mirror-descent solver; returns (distribution, trace).
+    """Run the private mirror-descent solver on a calibrated schedule.
 
-    When no schedule is given, one is calibrated from a Monte Carlo width
-    estimate drawn on the "width" substream.  ``entropy_weighting`` controls
-    how the prox step absorbs the regularization strength: "alpha" (the
-    default) runs the step rule on the alpha-normalized objective, scaling
-    both the entropy and divergence weights by alpha so the effective step
-    on the gradient is of order 2/(alpha t), the right scale for an
-    alpha-strongly-convex composite; "unit" applies the step weights with no
-    alpha anywhere in the prox.  The two coincide at alpha = 1.
+    Returns (distribution, trace).  The prox step runs the step rule on the
+    alpha-normalized objective, scaling both the entropy and divergence
+    weights by alpha so the effective step on the gradient is of order
+    2/(alpha t), the right scale for an alpha-strongly-convex composite.
     ``zero_noise`` routes the oracle through its exact-subgradient debug
     hook; such a run is not private.
     """
     a = as_alpha(alpha, positive=True)
-    if entropy_weighting not in ("alpha", "unit"):
-        raise ValidationError(f"unknown entropy weighting {entropy_weighting!r}")
     if not workload.symmetric and not quiet:
         warnings.warn("workload is not closed under negation; max error is signed", stacklevel=2)
     emp = empirical(data, workload.k)
-    if schedule is None:
-        west = gaussian_width(workload, WIDTH_SAMPLES, rng.substream("width"))
-        schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)
     oracle = rng.substream("oracle")
-    composite_scale = a if entropy_weighting == "alpha" else 1.0
 
     t_total = schedule.T
     current = uniform(workload.k)
@@ -111,8 +97,8 @@ def run_dpam(
         nxt = composite_prox(
             ProxProblem(
                 A=eta_t,
-                B=eta_t * composite_scale,
-                C=eta_cum * composite_scale,
+                B=eta_t * a,
+                C=eta_cum * a,
                 g=draw.gradient,
                 anchor=current,
             )
@@ -124,9 +110,7 @@ def run_dpam(
         cums[t - 1] = eta_cum
         picked[t - 1] = draw.row
 
-    trace = AMTrace(
-        etas=etas, eta_cumsums=cums, row_indices=picked, schedule=schedule, seed=rng.seed
-    )
+    trace = AMTrace(etas=etas, eta_cumsums=cums, row_indices=picked)
     return new_simplex(aggregate), trace
 
 
@@ -181,50 +165,19 @@ def release_dpam(
         alpha if alpha is not None else optimal_alpha(budget, west.mean, workload.k, data.n),
         positive=True,
     )
-    notes: list[str] = []
-    if not workload.symmetric:
-        notes.append("workload not closed under negation; errors are signed")
     if schedule is None:
         schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)
-    if schedule.capped:
-        notes.append(f"iteration count capped at {schedule.T}")
-    regime = regime_ok(west.mean, budget, workload.k, data.n)
-    if not regime:
-        notes.append("sample size below the smoothing-dominance threshold")
-    if no_noise:
-        notes.append("NON-PRIVATE DEBUG RUN: oracle noise disabled, budget not honored")
 
-    p_priv, trace = run_dpam(
-        data, workload, budget, a, rng, schedule=schedule, zero_noise=no_noise, quiet=True
-    )
-    t_solve = time.perf_counter() - t0
+    p_priv, _ = run_dpam(data, workload, a, rng, schedule, zero_noise=no_noise, quiet=True)
+    solved = time.perf_counter()
     emp = empirical(data, workload.k)
-    pop_err = None
-    if true_dist is not None:
-        pop_err = max_query_error(true_dist, p_priv, workload)
-
-    return RunReport(
-        algorithm="dpam",
-        k=workload.k,
-        m=workload.m,
-        n=data.n,
-        epsilon=budget.epsilon,
-        delta=budget.delta,
-        alpha=a,
-        seed=rng.seed,
-        schedule={
-            "T": schedule.T,
-            "sigma": schedule.sigma,
-            "eta_offset": schedule.eta_offset,
-            "capped": schedule.capped,
-        },
-        p_priv=[float(x) for x in p_priv.values],
+    return RunReport.of_release(
+        algorithm="dpam", data=data, workload=workload, budget=budget, alpha=a, rng=rng,
+        schedule=schedule, p_priv=p_priv,
         empirical_max_error=max_query_error(emp, p_priv, workload),
-        per_query_answers=[float(x) for x in workload.queries @ p_priv.values],
-        no_noise=no_noise,
-        width={"mean": west.mean, "stderr": west.stderr, "samples": west.samples},
-        regime_ok=regime,
-        population_max_error=pop_err,
-        warnings=notes,
-        timings={"total_s": time.perf_counter() - t0, "solve_s": t_solve},
+        population_max_error=(
+            None if true_dist is None else max_query_error(true_dist, p_priv, workload)
+        ),
+        no_noise=no_noise, started=t0, solved=solved, width=west,
+        regime_ok=regime_ok(west.mean, budget, workload.k, data.n),
     )

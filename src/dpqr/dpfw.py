@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,13 +38,10 @@ from .report import RunReport
 
 @dataclass(frozen=True)
 class FWTrace:
-    """Per-iteration selections of one run plus the output-index draw."""
+    """Per-iteration selections of one run, the output-index draw, and optional gaps."""
 
     row_indices: np.ndarray
-    gamma: float
     output_index: int
-    schedule: FWSchedule
-    seed: int
     gaps: np.ndarray | None = None
 
     @property
@@ -55,28 +52,22 @@ class FWTrace:
 def run_dpfw(
     data: Dataset,
     workload: QueryWorkload,
-    budget: PrivacyBudget,
     alpha,
     rng: NoiseStream,
-    schedule: FWSchedule | None = None,
+    schedule: FWSchedule,
     track_gap: bool = False,
-    gap_ref=None,
     quiet: bool = False,
 ) -> tuple[DualPoint, FWTrace]:
-    """Run the private Frank-Wolfe solver; returns (dual point, trace).
+    """Run the private Frank-Wolfe solver on a calibrated schedule.
 
-    The schedule defaults to the calibrated one for the given budget.  With
-    ``track_gap`` the linearized gap of every iterate is recorded against
-    ``gap_ref`` (the empirical distribution unless a reference is supplied);
-    this costs an extra row scan per iteration and is off by default.
+    Returns (dual point, trace).  With ``track_gap`` the linearized gap of
+    every iterate against the empirical distribution is recorded; this
+    costs an extra row scan per iteration and is off by default.
     """
     a = as_alpha(alpha, positive=True)
     if not workload.symmetric and not quiet:
         warnings.warn("workload is not closed under negation; max error is signed", stacklevel=2)
     emp = empirical(data, workload.k).values
-    if schedule is None:
-        d1, dinf = diameters(workload)
-        schedule = dpfw_schedule(budget, a, d1, dinf, workload.m, data.n)
     t_total = schedule.T
     gamma = schedule.gamma
     rows = workload.queries
@@ -88,7 +79,6 @@ def run_dpfw(
     weights[0] = 1.0
     picked = np.empty(t_total, dtype=np.int64)
     gaps = np.empty(t_total) if track_gap else None
-    ref = emp if gap_ref is None else as_values(gap_ref)
     q_out = q.copy()
     w_out = weights.copy()
 
@@ -97,7 +87,7 @@ def run_dpfw(
             q_out = q.copy()
             w_out = weights.copy()
         if track_gap:
-            gaps[t] = frank_wolfe_gap(q, ref, a, workload)
+            gaps[t] = frank_wolfe_gap(q, emp, a, workload)
         grad = emp - softmax(q / a).values
         scores = rows @ grad
         i = report_noisy_max(scores, schedule.lam, noise)
@@ -106,14 +96,7 @@ def run_dpfw(
         weights *= 1.0 - gamma
         weights[i] += gamma
 
-    trace = FWTrace(
-        row_indices=picked,
-        gamma=gamma,
-        output_index=out_index,
-        schedule=schedule,
-        seed=rng.seed,
-        gaps=gaps,
-    )
+    trace = FWTrace(row_indices=picked, output_index=out_index, gaps=gaps)
     return new_dual_point(q_out, w_out), trace
 
 
@@ -156,7 +139,7 @@ def release_dpfw(
     track_gap: bool = False,
     use_inf_diameter: bool = False,
 ) -> RunReport:
-    """Full DPFW pipeline: solve the dual, map to a distribution, report.
+    """Full DPFW pipeline: calibrate, solve the dual, map to a distribution, report.
 
     ``no_noise`` zeroes the selection noise: the run is NOT private and the
     report is flagged accordingly.  ``true_dist`` adds the population max
@@ -167,31 +150,18 @@ def release_dpfw(
         alpha if alpha is not None else optimal_alpha(budget, workload.m, workload.k, data.n),
         positive=True,
     )
-    notes: list[str] = []
-    if not workload.symmetric:
-        notes.append("workload not closed under negation; errors are signed")
     if schedule is None:
         d1, dinf = diameters(workload)
         schedule = dpfw_schedule(
             budget, a, d1, dinf, workload.m, data.n, use_inf_diameter=use_inf_diameter
         )
-    if schedule.capped:
-        notes.append(f"iteration count capped at {schedule.T}")
     if no_noise:
-        schedule = FWSchedule(
-            T=schedule.T, gamma=schedule.gamma, lam=0.0, capped=schedule.capped
-        )
-        notes.append("NON-PRIVATE DEBUG RUN: selection noise disabled, budget not honored")
+        schedule = replace(schedule, lam=0.0)
 
-    q_out, trace = run_dpfw(
-        data, workload, budget, a, rng, schedule=schedule, track_gap=track_gap, quiet=True
-    )
-    t_solve = time.perf_counter() - t0
+    q_out, trace = run_dpfw(data, workload, a, rng, schedule, track_gap=track_gap, quiet=True)
+    solved = time.perf_counter()
     p_priv = dual_to_primal(q_out, a)
     emp = empirical(data, workload.k)
-    pop_err = None
-    if true_dist is not None:
-        pop_err = max_query_error(true_dist, p_priv, workload)
     diagnostics = None
     if track_gap:
         # gap under the empirical reference (what the solver sees) and,
@@ -201,32 +171,13 @@ def release_dpfw(
             "output_gap_empirical": frank_wolfe_gap(q_out, emp, a, workload),
         }
         if true_dist is not None:
-            diagnostics["output_gap_population"] = frank_wolfe_gap(
-                q_out, true_dist, a, workload
-            )
-
-    return RunReport(
-        algorithm="dpfw",
-        k=workload.k,
-        m=workload.m,
-        n=data.n,
-        epsilon=budget.epsilon,
-        delta=budget.delta,
-        alpha=a,
-        seed=rng.seed,
-        schedule={
-            "T": trace.schedule.T,
-            "gamma": trace.schedule.gamma,
-            "lam": trace.schedule.lam,
-            "capped": trace.schedule.capped,
-            "output_index": trace.output_index,
-        },
-        p_priv=[float(x) for x in p_priv.values],
+            diagnostics["output_gap_population"] = frank_wolfe_gap(q_out, true_dist, a, workload)
+    return RunReport.of_release(
+        algorithm="dpfw", data=data, workload=workload, budget=budget, alpha=a, rng=rng,
+        schedule=schedule, output_index=trace.output_index, p_priv=p_priv,
         empirical_max_error=max_query_error(emp, p_priv, workload),
-        per_query_answers=[float(x) for x in workload.queries @ p_priv.values],
-        no_noise=no_noise,
-        population_max_error=pop_err,
-        diagnostics=diagnostics,
-        warnings=notes,
-        timings={"total_s": time.perf_counter() - t0, "solve_s": t_solve},
+        population_max_error=(
+            None if true_dist is None else max_query_error(true_dist, p_priv, workload)
+        ),
+        no_noise=no_noise, started=t0, solved=solved, diagnostics=diagnostics,
     )

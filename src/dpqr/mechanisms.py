@@ -91,26 +91,14 @@ class NoiseStream:
         return f"NoiseStream(seed={self.seed}, label={self.label!r}, counter={self.counter})"
 
 
-def sample_laplace(scale: float, rng: NoiseStream) -> float:
-    """One centered Laplace draw with the given scale."""
-    return float(rng.laplace(scale))
-
-
-def sample_gaussian_vec(k: int, sigma: float, rng: NoiseStream) -> np.ndarray:
-    """k independent N(0, sigma^2) draws."""
-    if k < 1:
-        raise ValidationError(f"need k >= 1, got {k}")
-    if sigma <= 0.0:
-        raise ValidationError(f"need sigma > 0, got {sigma}")
-    return rng.gaussian(sigma, size=k)
-
-
 def report_noisy_max(scores, scale: float, rng: NoiseStream) -> int:
     """Index of the largest score after adding i.i.d. Laplace(scale) noise.
 
-    With sensitivity-L scores this selection is (L/scale)-DP.  All scores are
-    perturbed in one batched draw, in row order; exact ties (certain at
-    scale 0) resolve to the lowest index.
+    The selection is (R/scale)-DP when R bounds the range max_i ds_i - min_i ds_i
+    of the per-row score change ds between neighbouring inputs: argmax is
+    shift-invariant, so a per-score sensitivity bound L gives only R <= 2L.
+    All scores are perturbed in one batched draw, in row order; exact ties
+    (certain at scale 0) resolve to the lowest index.
     """
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -184,7 +172,9 @@ def dpfw_schedule(
     iteration count to the l-infinity diameter, which balances the noise and
     curvature terms of the error bound and is much smaller for workloads
     closed under negation.  Privacy is unaffected: lam is always calibrated
-    to the l1 sensitivity with the rounded T actually run.
+    to the l1 diameter with the rounded T actually run.  D_1 / n bounds the
+    ``report_noisy_max`` score-change range R: for z != z', a row pair's gap
+    moves by at most (|(q_i - q_j)(z')| + |(q_i - q_j)(z)|) / n <= ||q_i - q_j||_1 / n.
 
     T is floored and clamped to >= 1; gamma is clamped to <= 1 so the iterate
     update stays a convex combination.

@@ -29,6 +29,22 @@ from .mechanisms import NoiseStream
 _MC_CHUNK = 1 << 15
 
 
+def _mc_mean(samples: int, draw) -> tuple[float, float]:
+    """(mean, stderr) of the values ``draw(chunk)`` returns, in chunks of at most _MC_CHUNK."""
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        chunk = min(_MC_CHUNK, samples - done)
+        vals = draw(chunk)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += chunk
+    mean = total / samples
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, float(np.sqrt(var / samples))
+
+
 def _check_dims(v: np.ndarray, w: QueryWorkload):
     if v.shape[0] != w.k:
         raise DimensionMismatch(f"vector of length {v.shape[0]} vs workload k={w.k}")
@@ -150,19 +166,11 @@ def gaussian_width(w: QueryWorkload, samples: int, rng: NoiseStream) -> WidthEst
     """E[max over rows of <q, xi>] for standard normal xi, with its standard error."""
     if samples < 2:
         raise ValidationError(f"need samples >= 2, got {samples}")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        z = rng.gaussian(1.0, size=(chunk, w.k))
-        vals = (z @ w.queries.T).max(axis=1)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += chunk
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return WidthEstimate(mean=mean, stderr=float(np.sqrt(var / samples)), samples=samples)
+    def draw(chunk):
+        return (rng.gaussian(1.0, size=(chunk, w.k)) @ w.queries.T).max(axis=1)
+
+    mean, stderr = _mc_mean(samples, draw)
+    return WidthEstimate(mean=mean, stderr=stderr, samples=samples)
 
 
 def smoothed_primal_mc(
@@ -184,16 +192,7 @@ def smoothed_primal_mc(
     dv = as_values(d)
     _check_dims(dv, w)
     base = w.queries @ (as_values(ref) - dv)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        xi = rng.gaussian(sigma, size=(chunk, w.k))
-        vals = (base[None, :] - xi @ w.queries.T).max(axis=1)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += chunk
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return mean, float(np.sqrt(var / samples))
+    def draw(chunk):
+        return (base[None, :] - rng.gaussian(sigma, size=(chunk, w.k)) @ w.queries.T).max(axis=1)
+
+    return _mc_mean(samples, draw)

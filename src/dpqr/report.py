@@ -1,11 +1,61 @@
-"""Run reports: everything needed to audit or replay one private release."""
+"""Run reports, and the JSON codec shared by every record written to a file.
+
+A record is a dataclass whose JSON keys are its field names.  Writing copies
+each field; reading coerces each value to its field's annotated type, takes
+the field default when a key is absent, and raises ValidationError when a
+required key is absent.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from .core import new_simplex
 from .errors import ValidationError
+
+
+def to_record(obj, drop=()) -> dict:
+    """JSON-ready dict of a dataclass, minus the fields named in ``drop``."""
+    out = {}
+    for f in fields(obj):
+        if f.name not in drop:
+            v = getattr(obj, f.name)
+            if isinstance(v, (list, tuple)):
+                v = list(v)
+            elif isinstance(v, dict):
+                v = dict(v)
+            out[f.name] = v
+    return out
+
+
+def _coerce(tp, value):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # "X | None"
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _coerce(tp, value)
+    if origin in (list, tuple):
+        if isinstance(value, str):  # a bare string is a one-element sequence
+            value = [value]
+        items = [_coerce(args[0], v) for v in value]
+        return items if origin is list else tuple(items)
+    return tp(value)
+
+
+def from_record(cls, d: dict):
+    """Build ``cls`` from a dict written by ``to_record``."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = _coerce(hints[f.name], d[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{cls.__name__} missing field {f.name!r}")
+    return cls(**kwargs)
 
 
 @dataclass
@@ -39,62 +89,48 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
+    @classmethod
+    def of_release(
+        cls, *, algorithm, data, workload, budget, alpha, rng, schedule, p_priv,
+        empirical_max_error, population_max_error, no_noise, started, solved,
+        width=None, regime_ok=None, diagnostics=None, **schedule_extra,
+    ) -> "RunReport":
+        """Report of a finished release; ``started``/``solved`` are perf_counter stamps.
+
+        ``schedule`` is the schedule dataclass actually run, and
+        ``schedule_extra`` adds entries to its record; ``width`` is the width
+        estimate dataclass, if the solver used one.  The caveat notes
+        follow from the inputs: a workload not closed under negation, a
+        capped iteration count, a failed regime check, and disabled noise.
+        """
+        notes = []
+        if not workload.symmetric:
+            notes.append("workload not closed under negation; errors are signed")
+        if schedule.capped:
+            notes.append(f"iteration count capped at {schedule.T}")
+        if regime_ok is False:
+            notes.append("sample size below the smoothing-dominance threshold")
+        if no_noise:
+            noise = "selection" if algorithm == "dpfw" else "oracle"
+            notes.append(f"NON-PRIVATE DEBUG RUN: {noise} noise disabled, budget not honored")
+        return cls(
+            algorithm=algorithm, k=workload.k, m=workload.m, n=data.n,
+            epsilon=budget.epsilon, delta=budget.delta, alpha=alpha, seed=rng.seed,
+            schedule={**to_record(schedule), **schedule_extra},
+            p_priv=p_priv.values.tolist(),
+            empirical_max_error=empirical_max_error,
+            per_query_answers=(workload.queries @ p_priv.values).tolist(),
+            no_noise=no_noise, width=None if width is None else to_record(width),
+            regime_ok=regime_ok, population_max_error=population_max_error,
+            diagnostics=diagnostics, warnings=notes,
+            timings={"total_s": time.perf_counter() - started, "solve_s": solved - started},
+        )
+
     def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "m": self.m,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "schedule": dict(self.schedule),
-            "p_priv": list(self.p_priv),
-            "empirical_max_error": self.empirical_max_error,
-            "per_query_answers": list(self.per_query_answers),
-            "no_noise": self.no_noise,
-            "width": dict(self.width) if self.width is not None else None,
-            "regime_ok": self.regime_ok,
-            "population_max_error": self.population_max_error,
-            "diagnostics": dict(self.diagnostics) if self.diagnostics is not None else None,
-            "warnings": list(self.warnings),
-        }
-        if include_timings:
-            out["timings"] = dict(self.timings)
-        return out
+        return to_record(self, () if include_timings else ("timings",))
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        try:
-            report = cls(
-                algorithm=d["algorithm"],
-                k=int(d["k"]),
-                m=int(d["m"]),
-                n=int(d["n"]),
-                epsilon=float(d["epsilon"]),
-                delta=float(d["delta"]),
-                alpha=float(d["alpha"]),
-                seed=int(d["seed"]),
-                schedule=dict(d["schedule"]),
-                p_priv=[float(x) for x in d["p_priv"]],
-                empirical_max_error=float(d["empirical_max_error"]),
-                per_query_answers=[float(x) for x in d["per_query_answers"]],
-                no_noise=bool(d.get("no_noise", False)),
-                width=dict(d["width"]) if d.get("width") is not None else None,
-                regime_ok=d.get("regime_ok"),
-                population_max_error=(
-                    float(d["population_max_error"])
-                    if d.get("population_max_error") is not None
-                    else None
-                ),
-                diagnostics=(
-                    dict(d["diagnostics"]) if d.get("diagnostics") is not None else None
-                ),
-                warnings=list(d.get("warnings", [])),
-                timings=dict(d.get("timings", {})),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"report missing field {exc}") from exc
+        report = from_record(cls, d)
         new_simplex(report.p_priv)  # a report must carry a valid distribution
         return report

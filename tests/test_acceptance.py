@@ -247,7 +247,7 @@ def test_criterion_08_non_private_limit():
     t_fw = 8000
     fw_sched = FWSchedule(T=t_fw, gamma=2 * math.sqrt(alpha / (t_fw * 2.0)), lam=0.0)
     _, trace = run_dpfw(
-        data, swap, BUDGET, alpha, NoiseStream(108, "fw"), fw_sched, track_gap=True
+        data, swap, alpha, NoiseStream(108, "fw"), fw_sched, track_gap=True
     )
     fw_gap = float(trace.gaps.mean())
 
@@ -255,7 +255,7 @@ def test_criterion_08_non_private_limit():
         T=2000, sigma=1e-3, eta_offset=math.sqrt(4.0 / (alpha * 1e-3)) + 1.0
     )
     priv, _ = run_dpam(
-        data, swap, BUDGET, alpha, NoiseStream(108, "am"), am_sched, zero_noise=True
+        data, swap, alpha, NoiseStream(108, "am"), am_sched, zero_noise=True
     )
     width = gaussian_width(swap, 100_000, NoiseStream(108, "w"))
     _, best = grid_min_primal(emp, swap, alpha, GridSpec(resolution=4000, k=2))

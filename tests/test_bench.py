@@ -12,7 +12,6 @@ from dpqr.bench import (
     gen_workload,
     run_experiment,
     sample_dataset,
-    sample_synthetic,
 )
 from dpqr.core import empirical, new_simplex, uniform
 from dpqr.errors import InvalidSpec, ValidationError
@@ -93,7 +92,7 @@ class TestSampling:
     def test_synthetic_matches_released(self):
         priv = new_simplex([0.6, 0.3, 0.1])
         count = 100_000
-        d = sample_synthetic(priv, count, NoiseStream(12, "s"))
+        d = sample_dataset(priv, count, NoiseStream(12, "s"))
         emp = empirical(d, 3).values
         tol = 3 * math.sqrt(0.6 * 0.4 / count)
         assert np.abs(emp - priv.values).max() < tol
@@ -185,3 +184,19 @@ class TestRunExperiment:
     def test_both_keyword(self):
         plan = tiny_plan(algorithms=("both",))
         assert plan.algorithms == ("dpfw", "dpam")
+
+    def test_plan_round_trip(self):
+        plan = tiny_plan(alpha=0.25, dpfw_inf_diameter=False, workers=2)
+        d = json.loads(json.dumps(plan.to_dict()))
+        assert ExperimentPlan.from_dict(d) == plan
+        # "both" may be written as a bare string rather than a list
+        assert ExperimentPlan.from_dict({**d, "algorithms": "both"}) == plan
+
+    def test_plan_defaults_and_missing_field(self):
+        d = tiny_plan().to_dict()
+        for key in ("alpha", "dpfw_inf_diameter", "workers"):
+            del d[key]
+        assert ExperimentPlan.from_dict(d) == tiny_plan()
+        del d["seed"]
+        with pytest.raises(ValidationError, match="'seed'"):
+            ExperimentPlan.from_dict(d)

@@ -16,7 +16,8 @@ from dpqr.cli import (
 from dpqr.core import new_dataset, new_simplex, new_workload, symmetrize
 from dpqr.dpfw import optimal_alpha
 from dpqr.core import PrivacyBudget
-from dpqr.errors import ParseError
+from dpqr.errors import ParseError, ValidationError
+from dpqr.report import RunReport
 
 
 def write_plan(path, **overrides):
@@ -246,6 +247,42 @@ class TestReportRoundTrip:
         again = RunReport.from_dict(json.loads(json.dumps(d)))
         assert again.to_dict(include_timings=True) == d
         assert new_simplex(again.p_priv).k == w.k
+
+    def test_missing_required_field(self, toy_files):
+        d = self._written_report(toy_files)
+        del d["empirical_max_error"]
+        with pytest.raises(ValidationError, match="'empirical_max_error'"):
+            RunReport.from_dict(d)
+
+    def test_non_numeric_number(self, toy_files):
+        d = self._written_report(toy_files)
+        d["epsilon"] = "abc"
+        with pytest.raises(ValueError):
+            RunReport.from_dict(d)
+
+    def test_invalid_p_priv(self, toy_files):
+        d = self._written_report(toy_files)
+        d["p_priv"] = [0.9, 0.9]
+        with pytest.raises(ValidationError):
+            RunReport.from_dict(d)
+
+    def test_optional_fields_default(self, toy_files):
+        d = self._written_report(toy_files)
+        for key in ("no_noise", "width", "regime_ok", "population_max_error",
+                    "diagnostics", "warnings"):
+            del d[key]
+        report = RunReport.from_dict(d)
+        assert report.width is None and report.warnings == [] and report.timings == {}
+
+    @staticmethod
+    def _written_report(toy_files) -> dict:
+        tmp_path, wpath, dpath, _ = toy_files
+        rpath = tmp_path / "r.json"
+        assert main(
+            ["run", "--algo", "dpam", "--data", str(dpath), "--workload", str(wpath),
+             "--eps", "1.0", "--delta", "1e-6", "--seed", "3", "--out", str(rpath)]
+        ) == 0
+        return json.loads(rpath.read_text())
 
     def test_replay_from_report_and_inputs(self, toy_files):
         # a written report carries the exact schedule, alpha, and seed, so

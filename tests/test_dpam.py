@@ -35,18 +35,18 @@ def small_schedule(t=60, sigma=0.1, alpha=0.5):
 
 class TestRunDpam:
     def test_deterministic(self):
-        p1, t1 = run_dpam(TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(2, "am"), small_schedule())
-        p2, t2 = run_dpam(TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(2, "am"), small_schedule())
+        p1, t1 = run_dpam(TOY_DATA, SWAP, 0.5, NoiseStream(2, "am"), small_schedule())
+        p2, t2 = run_dpam(TOY_DATA, SWAP, 0.5, NoiseStream(2, "am"), small_schedule())
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(t1.row_indices, t2.row_indices)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
-            run_dpam(TOY_DATA, SWAP, BUDGET, 0.0, NoiseStream(2, "am"), small_schedule())
+            run_dpam(TOY_DATA, SWAP, 0.0, NoiseStream(2, "am"), small_schedule())
 
     def test_trace_eta_structure(self):
         sched = small_schedule(t=40)
-        _, trace = run_dpam(TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(3, "am"), sched)
+        _, trace = run_dpam(TOY_DATA, SWAP, 0.5, NoiseStream(3, "am"), sched)
         assert trace.T == 40
         assert np.all(np.diff(trace.etas) >= 0)
         assert np.all(np.diff(trace.eta_cumsums) > 0)
@@ -57,7 +57,7 @@ class TestRunDpam:
         # output, and aggregate is a valid distribution
         alpha = 0.5
         sched = small_schedule(t=50, alpha=alpha)
-        priv, trace = run_dpam(TOY_DATA, SWAP, BUDGET, alpha, NoiseStream(4, "am"), sched)
+        priv, trace = run_dpam(TOY_DATA, SWAP, alpha, NoiseStream(4, "am"), sched)
         current = uniform(2)
         aggregate = current.values.copy()
         eta_cum = 0.0
@@ -85,7 +85,7 @@ class TestRunDpam:
         alpha = 0.5
         sched = small_schedule(t=2000, sigma=1e-3, alpha=alpha)
         priv, _ = run_dpam(
-            TOY_DATA, SWAP, BUDGET, alpha, NoiseStream(5, "am"), sched, zero_noise=True
+            TOY_DATA, SWAP, alpha, NoiseStream(5, "am"), sched, zero_noise=True
         )
         emp = empirical(TOY_DATA, 2)
         _, best = grid_min_primal(emp, SWAP, alpha, GridSpec(resolution=4000, k=2))

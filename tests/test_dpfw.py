@@ -34,8 +34,8 @@ def small_schedule(t=50, lam=0.3):
 
 class TestRunDpfw:
     def test_deterministic(self):
-        q1, t1 = run_dpfw(TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(3, "fw"), small_schedule())
-        q2, t2 = run_dpfw(TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(3, "fw"), small_schedule())
+        q1, t1 = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(3, "fw"), small_schedule())
+        q2, t2 = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(3, "fw"), small_schedule())
         assert np.array_equal(q1.vector, q2.vector)
         assert np.array_equal(q1.weights, q2.weights)
         assert np.array_equal(t1.row_indices, t2.row_indices)
@@ -43,18 +43,18 @@ class TestRunDpfw:
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
-            run_dpfw(TOY_DATA, SWAP, BUDGET, 0.0, NoiseStream(3, "fw"), small_schedule())
+            run_dpfw(TOY_DATA, SWAP, 0.0, NoiseStream(3, "fw"), small_schedule())
 
     def test_asymmetric_warns(self):
         lopsided = new_workload([[1.0, -1.0]])
         with pytest.warns(UserWarning, match="negation"):
-            run_dpfw(TOY_DATA, lopsided, BUDGET, 0.5, NoiseStream(3, "fw"), small_schedule())
+            run_dpfw(TOY_DATA, lopsided, 0.5, NoiseStream(3, "fw"), small_schedule())
 
     def test_iterates_stay_in_hull(self):
         # replay the update from the trace: every iterate is a convex
         # combination of rows, and its weight vector reconstructs it
         sched = small_schedule(t=200)
-        q_out, trace = run_dpfw(TOY_DATA, SWAP, BUDGET, 0.4, NoiseStream(9, "fw"), sched)
+        q_out, trace = run_dpfw(TOY_DATA, SWAP, 0.4, NoiseStream(9, "fw"), sched)
         q = SWAP.queries[0].copy()
         weights = np.zeros(SWAP.m)
         weights[0] = 1.0
@@ -73,7 +73,7 @@ class TestRunDpfw:
     def test_noise_free_gap_decreases(self):
         sched = FWSchedule(T=400, gamma=2 * math.sqrt(0.5 / (400 * 2.0)), lam=0.0)
         _, trace = run_dpfw(
-            TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(11, "fw"), sched, track_gap=True
+            TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched, track_gap=True
         )
         assert trace.gaps.mean() < trace.gaps[0]
 
@@ -84,7 +84,7 @@ class TestRunDpfw:
         for t in (10, 100, 1000):
             sched = FWSchedule(T=t, gamma=2 * math.sqrt(0.5 / (t * 2.0)), lam=0.0)
             _, trace = run_dpfw(
-                TOY_DATA, SWAP, BUDGET, 0.5, NoiseStream(11, "fw"), sched, track_gap=True
+                TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched, track_gap=True
             )
             means.append(float(trace.gaps.mean()))
         assert means[0] >= means[1] >= means[2]

@@ -20,8 +20,6 @@ from dpqr.mechanisms import (
     optimal_rdp_order,
     rdp_to_dp,
     report_noisy_max,
-    sample_gaussian_vec,
-    sample_laplace,
 )
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
@@ -67,7 +65,7 @@ class TestNoiseStream:
 
 class TestLaplace:
     def test_scale_zero_exact(self):
-        assert sample_laplace(0.0, NoiseStream(1, "l")) == 0.0
+        assert NoiseStream(1, "l").laplace(0.0) == 0.0
 
     def test_moments(self):
         draws = NoiseStream(7, "lap-mc").laplace(1.0, size=1_000_000)
@@ -75,9 +73,7 @@ class TestLaplace:
         assert abs(np.abs(draws).mean() - 1.0) < 0.02
 
     def test_deterministic(self):
-        assert sample_laplace(2.0, NoiseStream(3, "a")) == sample_laplace(
-            2.0, NoiseStream(3, "a")
-        )
+        assert NoiseStream(3, "a").laplace(2.0) == NoiseStream(3, "a").laplace(2.0)
 
 
 class TestGaussian:
@@ -86,12 +82,12 @@ class TestGaussian:
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_small_scale(self):
-        draws = sample_gaussian_vec(1000, 1e-12, NoiseStream(2, "g"))
+        draws = NoiseStream(2, "g").gaussian(1e-12, size=1000)
         assert np.all(np.abs(draws) < 1e-10)
 
     def test_deterministic(self):
-        a = sample_gaussian_vec(8, 0.3, NoiseStream(4, "g"))
-        b = sample_gaussian_vec(8, 0.3, NoiseStream(4, "g"))
+        a = NoiseStream(4, "g").gaussian(0.3, size=8)
+        b = NoiseStream(4, "g").gaussian(0.3, size=8)
         assert np.array_equal(a, b)
 
 
