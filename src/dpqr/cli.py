@@ -90,6 +90,31 @@ def save_dataset(data: Dataset, k: int, path: str):
 
 
 def load_dataset(path: str) -> tuple[Dataset, int]:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head, _, body = raw.partition(b"\n")
+    head = head.removesuffix(b"\r")
+    # Fast path for what save_dataset writes: ASCII digits, one index per
+    # line.  Anything else, and any index out of range, goes through the
+    # line scan, which names the offending line.  fromstring reads a body of
+    # blanks alone as [0] and saturates at the int64 maximum, hence the
+    # digit test and the bound; a k of at most 18 digits is below that
+    # maximum, and int() refuses very long digit strings.
+    if (
+        head.startswith(b"k=")
+        and head[2:].isdigit()
+        and len(head) <= 20
+        and body.strip()
+        and not body.translate(None, b"0123456789\r\n")
+    ):
+        k = int(head[2:])
+        points = np.fromstring(body, dtype=np.int64, sep=" ")
+        if int(points.max()) < k:
+            return new_dataset(points), k
+    return _scan_dataset(path)
+
+
+def _scan_dataset(path: str) -> tuple[Dataset, int]:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("k="):

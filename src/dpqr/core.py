@@ -166,24 +166,48 @@ def symmetrize(w: QueryWorkload) -> QueryWorkload:
     return QueryWorkload(_freeze(np.array(rows)), symmetric=True)
 
 
-def diameters(w: QueryWorkload) -> tuple[float, float]:
-    """Exact l1 and l-infinity diameters of the query set.
+def _closed_under_negation(q: np.ndarray) -> bool:
+    """Whether the negation of every row is also a row (checked, not trusted)."""
 
-    Both norms attain the diameter of the convex hull at vertex pairs, so a
-    scan over the m rows is exact.
-    """
-    q = w.queries
+    def keys(rows: np.ndarray) -> set[bytes]:
+        # one byte key per row, as in symmetrize; adding 0.0 sends -0.0 to +0.0
+        rows = np.ascontiguousarray(rows + 0.0)
+        return set(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist())
+
+    return keys(q) == keys(-q)
+
+
+def _scan_d1(q: np.ndarray) -> float:
+    """Largest computed l1 distance between two rows, by a pairwise scan."""
     m = q.shape[0]
     d1 = 0.0
-    dinf = 0.0
     # chunk the pairwise scan to bound memory on large workloads
     step = max(1, int(2_000_000 / max(1, m * q.shape[1])))
     for lo in range(0, m, step):
         block = q[lo : lo + step]
         diff = np.abs(block[:, None, :] - q[None, :, :])
         d1 = max(d1, float(diff.sum(axis=2).max()))
-        dinf = max(dinf, float(diff.max()))
-    return d1, dinf
+    return d1
+
+
+def diameters(w: QueryWorkload) -> tuple[float, float]:
+    """Exact l1 and l-infinity diameters of the query set.
+
+    Both norms attain the diameter of the convex hull at vertex pairs, and
+    the results are bit-identical to a floating-point scan over all row
+    pairs.  The l-infinity diameter is the largest column range: rounded
+    subtraction is monotone, so no pair beats a column's max and min rows.
+    For rows with entries in {-1, 0, 1} (so every sum is exact) that are
+    closed under negation (checked on the rows, whatever the ``symmetric``
+    flag says), the l1 diameter is 2 max ||q||_1: the triangle inequality
+    bounds every pair by it and (q, -q) attains it.  Other workloads scan
+    all pairs.
+    """
+    q = w.queries
+    dinf = float(np.ptp(q, axis=0).max()) + 0.0  # + 0.0: -0.0 reads as 0.0
+    if np.array_equal(q, np.rint(q)) and _closed_under_negation(q):
+        return 2.0 * float(np.abs(q).sum(axis=1).max()), dinf
+    return _scan_d1(q), dinf
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A record is a dataclass whose JSON keys are its field names.  Writing copies
 each field; reading coerces each value to its field's annotated type, takes
 the field default when a key is absent, and raises ValidationError when a
-required key is absent.
+required key is absent, holds a null that its type does not allow, or holds
+a value of the wrong kind (a list for a number, a number for a list).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def _coerce(tp, value):
             return None
         (tp,) = [a for a in args if a is not type(None)]
         return _coerce(tp, value)
+    if value is None:
+        raise ValidationError("null where a value is required")
     if origin in (list, tuple):
         if isinstance(value, str):  # a bare string is a one-element sequence
             value = [value]
@@ -52,7 +55,10 @@ def from_record(cls, d: dict):
     kwargs = {}
     for f in fields(cls):
         if f.name in d:
-            kwargs[f.name] = _coerce(hints[f.name], d[f.name])
+            try:
+                kwargs[f.name] = _coerce(hints[f.name], d[f.name])
+            except (TypeError, ValidationError) as exc:
+                raise ValidationError(f"{cls.__name__} field {f.name!r}: {exc}") from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"{cls.__name__} missing field {f.name!r}")
     return cls(**kwargs)

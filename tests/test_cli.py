@@ -87,6 +87,35 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="line 1"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("k3\n0\n", "line 1 must be a 'k=<int>' header"),
+        ("", "line 1 must be a 'k=<int>' header"),
+        ("k=three\n0\n", "line 1: cannot parse universe size"),
+        ("k=" + "9" * 5000 + "\n0\n", "line 1: cannot parse universe size"),
+        ("k=3\n0\nabc\n", "line 3: not an integer index: 'abc'"),
+        ("k=3\n2.5\n", "line 2: not an integer index: '2.5'"),
+        ("k=5\n0\n3 4\n", "line 3: not an integer index: '3 4'"),
+        ("k=5\n1_0\n", "line 2: index 10 outside [0, 5)"),
+        ("k=3\n0\n1\n3\n", "line 4: index 3 outside [0, 3)"),
+        ("k=3\n0\n-1\n", "line 3: index -1 outside [0, 3)"),
+        ("k=3\n", "dataset has no points"),
+        ("k=3\n\n\n", "dataset has no points"),
+        ("k=3\r\n\r\n", "dataset has no points"),
+    ])
+    def test_dataset_rejections_keep_their_message(self, tmp_path, text, message):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as exc:
+            load_dataset(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_dataset_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "d.txt"
+        for text in ("k=4\n\n3\n\n0\n2\n\n", "k=4\r\n3\r\n0\r\n\r\n2", "k=4\n 3\n0 \n2\n"):
+            path.write_bytes(text.encode())
+            data, k = load_dataset(str(path))
+            assert k == 4 and data.points.tolist() == [3, 0, 2]
+
 
 class TestSubcommands:
     def test_gen_workload_reproducible(self, tmp_path):
@@ -233,6 +262,23 @@ class TestSubcommands:
         assert k == 2 and data.n == 200
 
 
+    def test_sample_from_report_with_null_field_exit_2(self, toy_files, capsys):
+        tmp_path, wpath, dpath, _ = toy_files
+        rpath = tmp_path / "r.json"
+        assert main(
+            ["run", "--algo", "dpam", "--data", str(dpath), "--workload", str(wpath),
+             "--eps", "2.0", "--delta", "1e-6", "--seed", "4", "--out", str(rpath)]
+        ) == 0
+        d = json.loads(rpath.read_text())
+        d["k"] = None
+        rpath.write_text(json.dumps(d))
+        out = tmp_path / "s.txt"
+        assert main(["sample", "--report", str(rpath), "--count", "10", "--seed", "6",
+                     "--out", str(out)]) == 2
+        assert "RunReport field 'k': null" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReportRoundTrip:
     def test_lossless_with_timings(self, toy_files):
         from dpqr.dpfw import release_dpfw
@@ -265,6 +311,27 @@ class TestReportRoundTrip:
         d["p_priv"] = [0.9, 0.9]
         with pytest.raises(ValidationError):
             RunReport.from_dict(d)
+
+    def test_null_in_required_field(self, toy_files):
+        for key in ("k", "epsilon", "schedule", "p_priv", "warnings"):
+            d = self._written_report(toy_files)
+            d[key] = None
+            with pytest.raises(ValidationError, match=f"RunReport field '{key}': null"):
+                RunReport.from_dict(d)
+
+    def test_wrong_kind_of_value(self, toy_files):
+        for key, value in (("k", [2]), ("warnings", 5), ("alpha", {"x": 1})):
+            d = self._written_report(toy_files)
+            d[key] = value
+            with pytest.raises(ValidationError, match=f"RunReport field '{key}': "):
+                RunReport.from_dict(d)
+
+    def test_null_in_optional_field(self, toy_files):
+        d = self._written_report(toy_files)
+        for key in ("width", "regime_ok", "population_max_error", "diagnostics"):
+            d[key] = None
+        report = RunReport.from_dict(d)
+        assert report.width is None and report.regime_ok is None
 
     def test_optional_fields_default(self, toy_files):
         d = self._written_report(toy_files)

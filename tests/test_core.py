@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dpqr.bench import gen_workload
 from dpqr.core import (
     PrivacyBudget,
+    QueryWorkload,
     diameters,
     empirical,
     hull_residual,
@@ -20,6 +22,7 @@ from dpqr.errors import (
     NotNormalized,
     ValidationError,
 )
+from dpqr.mechanisms import NoiseStream
 
 
 class TestSimplex:
@@ -117,6 +120,64 @@ class TestWorkload:
             d1, dinf = diameters(w)
             assert dinf <= 2.0 + 1e-12
             assert d1 <= 2.0 * k + 1e-12
+
+
+def pairwise_diameters(q: np.ndarray) -> tuple[float, float]:
+    """The O(m^2 k) scan over all row pairs that ``diameters`` must match bit for bit."""
+    d1 = dinf = 0.0
+    for row in q:
+        diff = np.abs(row[None, :] - q)
+        d1 = max(d1, float(diff.sum(axis=1).max()))
+        dinf = max(dinf, float(diff.max()))
+    return d1, dinf
+
+
+class TestDiametersAgainstScan:
+    @staticmethod
+    def _assert_matches(w: QueryWorkload):
+        assert diameters(w) == pairwise_diameters(w.queries)
+
+    def test_parities(self):
+        for d in range(2, 7):
+            w = gen_workload(2**d, 2**d, f"parities({d})", NoiseStream(0, "w"))
+            assert w.m == 2 ** (d + 1)
+            self._assert_matches(w)
+
+    def test_generated_and_their_open_subsets(self):
+        for kind in ("random_sign", "random_box"):
+            for seed, (k, m) in enumerate([(1, 3), (2, 5), (5, 8), (16, 16), (33, 40), (64, 7)]):
+                w = gen_workload(k, m, kind, NoiseStream(seed, "w"))
+                self._assert_matches(w)
+                rows = np.random.default_rng(seed).permutation(w.m)[: max(1, w.m // 2)]
+                self._assert_matches(new_workload(w.queries[rows]))
+
+    def test_single_row(self):
+        self._assert_matches(new_workload([[0.5, -1.0, 0.25]]))
+        self._assert_matches(symmetrize(new_workload([[0.5, -1.0, 0.25]])))
+        self._assert_matches(new_workload([[0.0, 0.0]], symmetric=True))
+
+    def test_symmetric_flag_is_not_trusted(self):
+        # rows not closed under negation get the scan's value whatever the flag says
+        q = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [-0.5, 0.25, 1.0]])
+        w = QueryWorkload(q, symmetric=True)
+        assert diameters(w) == pairwise_diameters(q) == (3.25, 1.5)
+        self._assert_matches(QueryWorkload(np.vstack([q, -q[:2]]), symmetric=True))
+
+    def test_fractional_norm_ties(self):
+        # a permuted row has the largest norm up to rounding, and rounding makes
+        # q + p[perm] sum one ulp above 2 max ||q||_1: the scan's value is kept
+        q = np.array([[0.53, 0.58, 0.64, 0.36], [0.53, 0.58, 0.36, 0.64],
+                      [0.53, 0.36, 0.64, 0.58], [0.64, 0.53, 0.36, 0.58]])
+        w = symmetrize(new_workload(q))
+        d1, _ = pairwise_diameters(w.queries)
+        assert d1 > 2 * float(np.abs(w.queries).sum(axis=1).max())
+        self._assert_matches(w)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(2, 10))
+            base = np.round(rng.uniform(0, 1, size=k), int(rng.integers(1, 4)))
+            rows = [rng.permutation(base) for _ in range(int(rng.integers(2, 6)))]
+            self._assert_matches(symmetrize(new_workload(rows)))
 
 
 class TestBudgetAndDual:
