@@ -5,15 +5,14 @@ import numpy as np
 from dpqr import (
     NoiseStream,
     PrivacyBudget,
-    empirical,
     gen_distribution,
     gen_workload,
-    max_query_error,
     release_dpam,
     release_dpfw,
     sample_dataset,
-    new_simplex,
 )
+from dpqr.core import empirical, new_simplex
+from dpqr.objective import max_query_error
 
 rng = NoiseStream(2024, "demo")
 

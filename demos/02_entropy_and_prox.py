@@ -2,16 +2,15 @@
 # conjugate, KL divergence, and the closed-form composite prox.
 import numpy as np
 
-from dpqr import (
+from dpqr.core import new_simplex, uniform
+from dpqr.dpfw import dual_to_primal
+from dpqr.entropy import (
     ProxProblem,
     composite_prox,
-    dual_to_primal,
     kl_divergence,
     log_sum_exp,
     neg_entropy,
-    new_simplex,
     softmax,
-    uniform,
 )
 from dpqr.testkit import brute_force_prox
 

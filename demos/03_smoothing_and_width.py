@@ -5,15 +5,13 @@ import math
 
 import numpy as np
 
-from dpqr import (
-    NoiseStream,
+from dpqr import NoiseStream, gen_workload
+from dpqr.core import new_simplex, uniform
+from dpqr.objective import (
     gaussian_width,
-    gen_workload,
-    new_simplex,
     primal_objective,
     smoothed_gradient_oracle,
     smoothed_primal_mc,
-    uniform,
 )
 
 rng = NoiseStream(11, "demo3")

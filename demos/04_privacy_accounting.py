@@ -4,19 +4,15 @@ import math
 
 import numpy as np
 
-from dpqr import (
-    NoiseStream,
-    PrivacyBudget,
+from dpqr import NoiseStream, PrivacyBudget
+from dpqr.core import empirical, new_dataset, new_workload, symmetrize
+from dpqr.mechanisms import (
     advanced_composition,
     dpam_schedule,
     dpfw_schedule,
-    empirical,
     gaussian_rdp,
-    new_dataset,
-    new_workload,
     optimal_rdp_order,
     rdp_to_dp,
-    symmetrize,
 )
 
 budget = PrivacyBudget(1.0, 1e-6)

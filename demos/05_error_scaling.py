@@ -4,7 +4,8 @@
 # Takes about half a minute.
 import time
 
-from dpqr import ExperimentPlan, run_experiment
+from dpqr import run_experiment
+from dpqr.bench import ExperimentPlan
 
 plan = ExperimentPlan(
     algorithms=("dpfw", "dpam"),

@@ -3,7 +3,9 @@
 Formats are deliberately plain so files diff cleanly and can be produced by
 other tooling:
 
-  workload      JSON {"k": int, "symmetric": bool, "queries": [[...], ...]}
+  workload      JSON {"k": int, "symmetric": bool, "queries": [[...], ...]};
+                "symmetric" is written for other readers and ignored on
+                read, where the rows decide
   distribution  JSON {"k": int, "values": [...]}
   dataset       text, header line "k=<int>", then one index per line
   report        JSON (one run; see dpqr.report.RunReport)
@@ -51,9 +53,19 @@ def _write_json(obj, path: str):
 def _read_json(path: str) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(d, dict):
+        raise ParseError(f"{path}: expected a JSON object at the top level")
+    return d
+
+
+def _int_field(d: dict, key: str, path: str) -> int:
+    try:
+        return int(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: field {key!r} is not an integer: {d[key]!r}") from exc
 
 
 def save_workload(w: QueryWorkload, path: str):
@@ -65,14 +77,18 @@ def save_workload(w: QueryWorkload, path: str):
 
 def load_workload(path: str) -> QueryWorkload:
     d = _read_json(path)
-    for key in ("k", "symmetric", "queries"):
+    for key in ("k", "queries"):
         if key not in d:
             raise ParseError(f"{path}: workload file missing field {key!r}")
     rows = d["queries"]
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: workload queries must be a list of rows")
     if not rows:
         raise ParseError(f"{path}: workload has no queries")
-    k = int(d["k"])
+    k = _int_field(d, "k", path)
     for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ParseError(f"{path}: row {i} is not a list")
         if len(row) != k:
             raise ParseError(f"{path}: row {i} has length {len(row)}, expected k={k}")
         for j, x in enumerate(row):
@@ -80,7 +96,7 @@ def load_workload(path: str) -> QueryWorkload:
                 raise ParseError(
                     f"{path}: query entry {x} at row {i}, column {j} outside [-1, 1]"
                 )
-    return new_workload(np.asarray(rows, dtype=float), symmetric=bool(d["symmetric"]))
+    return new_workload(np.asarray(rows, dtype=float))
 
 
 def save_dataset(data: Dataset, k: int, path: str):
@@ -149,7 +165,7 @@ def load_distribution(path: str) -> SimplexVector:
     if "values" not in d:
         raise ParseError(f"{path}: distribution file missing field 'values'")
     p = new_simplex(np.asarray(d["values"], dtype=float))
-    if "k" in d and int(d["k"]) != p.k:
+    if "k" in d and _int_field(d, "k", path) != p.k:
         raise ParseError(f"{path}: header k={d['k']} but {p.k} values present")
     return p
 

@@ -9,6 +9,7 @@ types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,16 +109,17 @@ def empirical(data: Dataset, k: int) -> SimplexVector:
     return SimplexVector(_freeze(counts / pts.size))
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One byte key per row; adding 0.0 sends -0.0 to +0.0 so keys agree with ==."""
+    rows = np.ascontiguousarray(rows + 0.0)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
+
+
 @dataclass(frozen=True)
 class QueryWorkload:
-    """m queries over a k-element universe, one row per query.
-
-    The ``symmetric`` flag records that the row set is closed under negation,
-    which turns signed max-error into absolute max-error.
-    """
+    """m queries over a k-element universe, one row per query."""
 
     queries: np.ndarray
-    symmetric: bool = False
 
     @property
     def m(self) -> int:
@@ -127,8 +129,19 @@ class QueryWorkload:
     def k(self) -> int:
         return self.queries.shape[1]
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the row set is closed under negation, which turns signed
+        max-error into absolute max-error.
 
-def new_workload(queries, symmetric: bool = False) -> QueryWorkload:
+        Computed from the rows on first use and cached: computing it at
+        construction would hold the keys of a large workload while the
+        caller's temporaries are still alive.
+        """
+        return set(_row_keys(self.queries)) == set(_row_keys(-self.queries))
+
+
+def new_workload(queries) -> QueryWorkload:
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
         raise ValidationError("expected a nonempty m x k query matrix")
@@ -138,7 +151,7 @@ def new_workload(queries, symmetric: bool = False) -> QueryWorkload:
         raise ValidationError(
             f"query entry {q[i, j]} at row {i}, column {j} outside [-1, 1]"
         )
-    return QueryWorkload(_freeze(q.copy()), symmetric)
+    return QueryWorkload(_freeze(q.copy()))
 
 
 def symmetrize(w: QueryWorkload) -> QueryWorkload:
@@ -148,33 +161,13 @@ def symmetrize(w: QueryWorkload) -> QueryWorkload:
     missing negations are appended afterwards, again in input order.  A row
     equal to its own negation (all zeros) appears once.
     """
-    def key(row: np.ndarray) -> bytes:
-        # adding 0.0 sends -0.0 to +0.0 so byte keys agree with ==
-        return (row + 0.0).tobytes()
-
-    seen: set[bytes] = set()
-    rows: list[np.ndarray] = []
-    for row in w.queries:
-        if key(row) not in seen:
-            seen.add(key(row))
-            rows.append(row)
-    for row in list(rows):
-        neg = -row + 0.0
-        if key(neg) not in seen:
-            seen.add(key(neg))
-            rows.append(neg)
-    return QueryWorkload(_freeze(np.array(rows)), symmetric=True)
-
-
-def _closed_under_negation(q: np.ndarray) -> bool:
-    """Whether the negation of every row is also a row (checked, not trusted)."""
-
-    def keys(rows: np.ndarray) -> set[bytes]:
-        # one byte key per row, as in symmetrize; adding 0.0 sends -0.0 to +0.0
-        rows = np.ascontiguousarray(rows + 0.0)
-        return set(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist())
-
-    return keys(q) == keys(-q)
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(_row_keys(w.queries)):
+        first.setdefault(key, i)
+    rows = w.queries[list(first.values())]
+    negs = -rows + 0.0
+    missing = [i for i, key in enumerate(_row_keys(negs)) if key not in first]
+    return QueryWorkload(_freeze(np.concatenate([rows, negs[missing]])))
 
 
 def _scan_d1(q: np.ndarray) -> float:
@@ -198,14 +191,13 @@ def diameters(w: QueryWorkload) -> tuple[float, float]:
     pairs.  The l-infinity diameter is the largest column range: rounded
     subtraction is monotone, so no pair beats a column's max and min rows.
     For rows with entries in {-1, 0, 1} (so every sum is exact) that are
-    closed under negation (checked on the rows, whatever the ``symmetric``
-    flag says), the l1 diameter is 2 max ||q||_1: the triangle inequality
-    bounds every pair by it and (q, -q) attains it.  Other workloads scan
-    all pairs.
+    closed under negation (``w.symmetric``), the l1 diameter is
+    2 max ||q||_1: the triangle inequality bounds every pair by it and
+    (q, -q) attains it.  Other workloads scan all pairs.
     """
     q = w.queries
     dinf = float(np.ptp(q, axis=0).max()) + 0.0  # + 0.0: -0.0 reads as 0.0
-    if np.array_equal(q, np.rint(q)) and _closed_under_negation(q):
+    if w.symmetric and np.array_equal(q, np.rint(q)):
         return 2.0 * float(np.abs(q).sum(axis=1).max()), dinf
     return _scan_d1(q), dinf
 
@@ -263,20 +255,9 @@ def hull_residual(q: DualPoint, w: QueryWorkload) -> float:
     return float(np.abs(recon - q.vector).max())
 
 
-@dataclass(frozen=True)
-class RegParam:
-    """Entropy-regularization strength; zero disables regularization."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha >= 0.0 and np.isfinite(self.alpha)):
-            raise InvalidAlpha(f"alpha must be a finite nonnegative real, got {self.alpha}")
-
-
 def as_alpha(value, positive: bool = False) -> float:
-    """Coerce a RegParam or bare float; optionally require strict positivity."""
-    a = value.alpha if isinstance(value, RegParam) else float(value)
+    """Coerce alpha to a float; optionally require strict positivity."""
+    a = float(value)
     if not np.isfinite(a) or a < 0.0:
         raise InvalidAlpha(f"alpha must be a finite nonnegative real, got {a}")
     if positive and a == 0.0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,6 @@ def run_dpam(
     rng: NoiseStream,
     schedule: AMSchedule,
     zero_noise: bool = False,
-    quiet: bool = False,
 ) -> tuple[SimplexVector, AMTrace]:
     """Run the private mirror-descent solver on a calibrated schedule.
 
@@ -74,8 +72,6 @@ def run_dpam(
     hook; such a run is not private.
     """
     a = as_alpha(alpha, positive=True)
-    if not workload.symmetric and not quiet:
-        warnings.warn("workload is not closed under negation; max error is signed", stacklevel=2)
     emp = empirical(data, workload.k)
     oracle = rng.substream("oracle")
 
@@ -168,7 +164,7 @@ def release_dpam(
     if schedule is None:
         schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)
 
-    p_priv, _ = run_dpam(data, workload, a, rng, schedule, zero_noise=no_noise, quiet=True)
+    p_priv, _ = run_dpam(data, workload, a, rng, schedule, zero_noise=no_noise)
     solved = time.perf_counter()
     emp = empirical(data, workload.k)
     return RunReport.of_release(

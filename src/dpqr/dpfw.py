@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +55,6 @@ def run_dpfw(
     rng: NoiseStream,
     schedule: FWSchedule,
     track_gap: bool = False,
-    quiet: bool = False,
 ) -> tuple[DualPoint, FWTrace]:
     """Run the private Frank-Wolfe solver on a calibrated schedule.
 
@@ -65,8 +63,6 @@ def run_dpfw(
     costs an extra row scan per iteration and is off by default.
     """
     a = as_alpha(alpha, positive=True)
-    if not workload.symmetric and not quiet:
-        warnings.warn("workload is not closed under negation; max error is signed", stacklevel=2)
     emp = empirical(data, workload.k).values
     t_total = schedule.T
     gamma = schedule.gamma
@@ -158,7 +154,7 @@ def release_dpfw(
     if no_noise:
         schedule = replace(schedule, lam=0.0)
 
-    q_out, trace = run_dpfw(data, workload, a, rng, schedule, track_gap=track_gap, quiet=True)
+    q_out, trace = run_dpfw(data, workload, a, rng, schedule, track_gap=track_gap)
     solved = time.perf_counter()
     p_priv = dual_to_primal(q_out, a)
     emp = empirical(data, workload.k)

@@ -155,6 +155,16 @@ class TestSubcommands:
             == 2
         )
 
+    def test_gen_data_distribution_k_not_integer_exit_2(self, tmp_path, capsys):
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps({"k": None, "values": [0.5, 0.5]}))
+        out = tmp_path / "x.txt"
+        assert main(
+            ["gen-data", "--dist", str(dist), "--n", "5", "--seed", "1", "--out", str(out)]
+        ) == 2
+        assert f"{dist}: field 'k' is not an integer: None" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_auto_alpha_and_reproducibility(self, toy_files, capsys):
         tmp_path, wpath, dpath, tpath = toy_files
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -196,6 +206,39 @@ class TestSubcommands:
         )
         assert code == 2
         assert "row 0, column 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (5, "expected a JSON object at the top level"),
+            ({"k": 2, "queries": 5}, "workload queries must be a list of rows"),
+            ({"k": 2, "queries": [5]}, "row 0 is not a list"),
+            ({"k": None, "queries": [[1.0, 0.0]]}, "field 'k' is not an integer: None"),
+        ],
+        ids=["top-level", "queries", "row", "k"],
+    )
+    def test_run_workload_of_wrong_shape_exit_2(self, toy_files, capsys, content, message):
+        tmp_path, _, dpath, _ = toy_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        code = main(
+            ["run", "--algo", "dpfw", "--data", str(dpath), "--workload", str(bad),
+             "--eps", "1.0", "--delta", "1e-6", "--seed", "2",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    def test_run_with_timings(self, toy_files):
+        tmp_path, wpath, dpath, _ = toy_files
+        args = ["run", "--algo", "dpam", "--data", str(dpath), "--workload", str(wpath),
+                "--eps", "1.0", "--delta", "1e-6", "--seed", "3"]
+        timed, plain = tmp_path / "timed.json", tmp_path / "plain.json"
+        assert main(args + ["--with-timings", "--out", str(timed)]) == 0
+        assert main(args + ["--out", str(plain)]) == 0
+        timings = json.loads(timed.read_text())["timings"]
+        assert timings["total_s"] >= timings["solve_s"] >= 0.0
+        assert "timings" not in json.loads(plain.read_text())
 
     def test_run_degenerate_workload_exit_3(self, toy_files):
         tmp_path, _, dpath, _ = toy_files
@@ -261,6 +304,21 @@ class TestSubcommands:
         data, k = load_dataset(str(s1))
         assert k == 2 and data.n == 200
 
+    @pytest.mark.parametrize(
+        "args, content",
+        [
+            (["sample", "--report", "{}", "--count", "10", "--seed", "6"], "5"),
+            (["bench", "--plan", "{}"], "7"),
+        ],
+        ids=["sample", "bench"],
+    )
+    def test_non_object_json_exit_2(self, tmp_path, capsys, args, content):
+        path = tmp_path / "in.json"
+        path.write_text(content)
+        out = tmp_path / "out"
+        assert main([a.format(path) for a in args] + ["--out", str(out)]) == 2
+        assert f"{path}: expected a JSON object at the top level" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_from_report_with_null_field_exit_2(self, toy_files, capsys):
         tmp_path, wpath, dpath, _ = toy_files

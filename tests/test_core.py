@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from dpqr.bench import gen_workload
+from dpqr.cli import load_workload
 from dpqr.core import (
     PrivacyBudget,
     QueryWorkload,
@@ -154,14 +157,18 @@ class TestDiametersAgainstScan:
     def test_single_row(self):
         self._assert_matches(new_workload([[0.5, -1.0, 0.25]]))
         self._assert_matches(symmetrize(new_workload([[0.5, -1.0, 0.25]])))
-        self._assert_matches(new_workload([[0.0, 0.0]], symmetric=True))
+        self._assert_matches(new_workload([[0.0, 0.0]]))
 
-    def test_symmetric_flag_is_not_trusted(self):
-        # rows not closed under negation get the scan's value whatever the flag says
+    def test_symmetric_flag_is_not_trusted(self, tmp_path):
+        # a workload file's flag is ignored on read: rows not closed under
+        # negation get the scan's value whatever the flag says
         q = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [-0.5, 0.25, 1.0]])
-        w = QueryWorkload(q, symmetric=True)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"k": 3, "symmetric": True, "queries": q.tolist()}))
+        w = load_workload(str(path))
+        assert not w.symmetric
         assert diameters(w) == pairwise_diameters(q) == (3.25, 1.5)
-        self._assert_matches(QueryWorkload(np.vstack([q, -q[:2]]), symmetric=True))
+        self._assert_matches(new_workload(np.vstack([q, -q[:2]])))
 
     def test_fractional_norm_ties(self):
         # a permuted row has the largest norm up to rounding, and rounding makes
@@ -197,13 +204,13 @@ class TestBudgetAndDual:
         with pytest.raises(NotNormalized):
             new_dual_point([0.0, 0.0], weights=[0.7, 0.5])
 
-    def test_reg_param(self):
-        from dpqr.core import RegParam, as_alpha
+    def test_as_alpha(self):
+        from dpqr.core import as_alpha
         from dpqr.errors import InvalidAlpha
 
-        assert as_alpha(RegParam(0.25)) == 0.25
+        assert as_alpha(0.25) == 0.25
         assert as_alpha(0.0) == 0.0  # zero allowed when positivity not required
         with pytest.raises(InvalidAlpha):
-            RegParam(-0.1)
+            as_alpha(-0.1)
         with pytest.raises(InvalidAlpha):
-            as_alpha(RegParam(0.0), positive=True)
+            as_alpha(0.0, positive=True)

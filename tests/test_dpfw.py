@@ -45,11 +45,6 @@ class TestRunDpfw:
         with pytest.raises(InvalidAlpha):
             run_dpfw(TOY_DATA, SWAP, 0.0, NoiseStream(3, "fw"), small_schedule())
 
-    def test_asymmetric_warns(self):
-        lopsided = new_workload([[1.0, -1.0]])
-        with pytest.warns(UserWarning, match="negation"):
-            run_dpfw(TOY_DATA, lopsided, 0.5, NoiseStream(3, "fw"), small_schedule())
-
     def test_iterates_stay_in_hull(self):
         # replay the update from the trace: every iterate is a convex
         # combination of rows, and its weight vector reconstructs it
@@ -191,6 +186,17 @@ class TestRelease:
         )
         emp = empirical(TOY_DATA, 2)
         assert report.empirical_max_error == pytest.approx(max_query_error(emp, priv, SWAP))
+
+    def test_negation_note_follows_the_rows(self):
+        # the caveat is decided by the rows: a workload built without
+        # symmetrize but closed under negation carries no note
+        note = "workload not closed under negation; errors are signed"
+        for rows, noted in (([[1.0, -1.0]], True), ([[1.0, -1.0], [-1.0, 1.0]], False)):
+            report = release_dpfw(
+                TOY_DATA, new_workload(rows), BUDGET, NoiseStream(18, "rel"),
+                alpha=0.5, schedule=small_schedule(),
+            )
+            assert (note in report.warnings) == noted
 
     def test_per_query_answers(self):
         report = release_dpfw(TOY_DATA, SWAP, BUDGET, NoiseStream(16, "rel"))

@@ -1,0 +1,39 @@
+"""The top-level ``dpqr`` namespace and what imports from it.
+
+``dpqr/__init__.py`` exports only the names a release and an experiment
+need; the demos import everything else from its submodule.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dpqr
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_cli_module_runs_without_warnings():
+    # importing dpqr.cli from __init__ makes runpy warn that the module was
+    # already in sys.modules when run as ``python -m dpqr.cli``
+    env = {**os.environ, "PYTHONPATH": str(Path(dpqr.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dpqr.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "gen-workload" in proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    # only the import statements run, so a missing export fails in
+    # milliseconds without running the demo itself
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), str(demo), "exec"), {})
