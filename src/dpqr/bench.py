@@ -26,6 +26,7 @@ from .core import (
     PrivacyBudget,
     QueryWorkload,
     SimplexVector,
+    as_alpha,
     as_values,
     empirical,
     new_dataset,
@@ -36,7 +37,7 @@ from .core import (
 )
 from .dpam import release_dpam
 from .dpfw import release_dpfw
-from .errors import InvalidSpec, ValidationError
+from .errors import InvalidParams, InvalidSpec, ValidationError
 from .mechanisms import NoiseStream
 from .objective import max_query_error
 from .report import from_record, to_record
@@ -168,8 +169,12 @@ class ExperimentPlan:
             raise ValidationError("need repetitions >= 1")
         if any(n < 1 for n in self.n_grid) or not self.n_grid:
             raise ValidationError("n grid must be nonempty with n >= 1")
-        if any(e <= 0.0 for e in self.eps_grid) or not self.eps_grid:
-            raise ValidationError("eps grid must be nonempty with eps > 0")
+        if not self.eps_grid or not all(0.0 < e < math.inf for e in self.eps_grid):
+            raise ValidationError("eps grid must be nonempty with finite eps > 0")
+        if not (0.0 < self.delta < 1.0):
+            raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
+        if self.alpha is not None:
+            as_alpha(self.alpha, positive=True)
 
     def to_dict(self) -> dict:
         return to_record(self)

@@ -300,7 +300,10 @@ def _cmd_bench(args) -> int:
     workers = args.workers
     if workers is None:
         env = os.environ.get("DPQR_WORKERS")
-        workers = int(env) if env else None
+        try:
+            workers = int(env) if env else None
+        except ValueError:
+            raise ValidationError(f"DPQR_WORKERS must be an integer, got {env!r}") from None
     result = run_experiment(plan, workers=workers)
     write_result(result, args.out)
     print(f"bench: {len(result.cells)} cells in {result.runtimes['total_s']:.2f}s", file=sys.stderr)

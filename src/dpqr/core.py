@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     InvalidAlpha,
     InvalidParams,
@@ -216,45 +215,6 @@ class PrivacyBudget:
             raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """A point of the workload's convex hull, optionally with hull weights."""
-
-    vector: np.ndarray
-    weights: np.ndarray | None = None
-
-    @property
-    def k(self) -> int:
-        return self.vector.shape[0]
-
-
-def new_dual_point(vector, weights=None) -> DualPoint:
-    v = np.asarray(vector, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValidationError("expected a nonempty 1-d dual vector")
-    if np.any(np.abs(v) > 1.0 + SUM_TOL):
-        raise ValidationError(f"dual vector entry {float(np.abs(v).max())} outside [-1, 1]")
-    wts = None
-    if weights is not None:
-        wts = np.asarray(weights, dtype=float)
-        if np.any(wts < -NEG_TOL):
-            raise NegativeMass("hull weights must be nonnegative")
-        if abs(float(wts.sum()) - 1.0) > SUM_TOL:
-            raise NotNormalized(f"hull weights sum to {float(wts.sum())}")
-        wts = _freeze(np.where(wts < 0.0, 0.0, wts))
-    return DualPoint(_freeze(v.copy()), wts)
-
-
-def hull_residual(q: DualPoint, w: QueryWorkload) -> float:
-    """Max-coordinate gap between q.vector and its hull-weight reconstruction."""
-    if q.weights is None:
-        raise ValidationError("dual point carries no hull weights")
-    if q.weights.shape[0] != w.m:
-        raise DimensionMismatch(f"{q.weights.shape[0]} weights for {w.m} rows")
-    recon = q.weights @ w.queries
-    return float(np.abs(recon - q.vector).max())
-
-
 def as_alpha(value, positive: bool = False) -> float:
     """Coerce alpha to a float; optionally require strict positivity."""
     a = float(value)
@@ -266,9 +226,7 @@ def as_alpha(value, positive: bool = False) -> float:
 
 
 def as_values(x) -> np.ndarray:
-    """Accept a SimplexVector, DualPoint, or raw array; return the ndarray."""
+    """Accept a SimplexVector or raw array; return the ndarray."""
     if isinstance(x, SimplexVector):
         return x.values
-    if isinstance(x, DualPoint):
-        return x.vector
     return np.asarray(x, dtype=float)

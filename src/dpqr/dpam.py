@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,19 +40,6 @@ from .report import RunReport
 WIDTH_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class AMTrace:
-    """Per-iteration step weights, their running sums, and oracle picks."""
-
-    etas: np.ndarray
-    eta_cumsums: np.ndarray
-    row_indices: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return self.etas.shape[0]
-
-
 def run_dpam(
     data: Dataset,
     workload: QueryWorkload,
@@ -61,13 +47,14 @@ def run_dpam(
     rng: NoiseStream,
     schedule: AMSchedule,
     zero_noise: bool = False,
-) -> tuple[SimplexVector, AMTrace]:
+) -> tuple[SimplexVector, np.ndarray]:
     """Run the private mirror-descent solver on a calibrated schedule.
 
-    Returns (distribution, trace).  The prox step runs the step rule on the
-    alpha-normalized objective, scaling both the entropy and divergence
-    weights by alpha so the effective step on the gradient is of order
-    2/(alpha t), the right scale for an alpha-strongly-convex composite.
+    Returns (distribution, the row the oracle picked at each iteration).
+    The prox step runs the step rule on the alpha-normalized objective,
+    scaling both the entropy and divergence weights by alpha so the
+    effective step on the gradient is of order 2/(alpha t), the right scale
+    for an alpha-strongly-convex composite.
     ``zero_noise`` routes the oracle through its exact-subgradient debug
     hook; such a run is not private.
     """
@@ -79,8 +66,6 @@ def run_dpam(
     current = uniform(workload.k)
     aggregate = current.values.copy()
     eta_cum = 0.0
-    etas = np.empty(t_total)
-    cums = np.empty(t_total)
     picked = np.empty(t_total, dtype=np.int64)
 
     for t in range(1, t_total + 1):
@@ -102,12 +87,9 @@ def run_dpam(
         aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt.values
         current = nxt
         eta_cum = denom
-        etas[t - 1] = eta_t
-        cums[t - 1] = eta_cum
         picked[t - 1] = draw.row
 
-    trace = AMTrace(etas=etas, eta_cumsums=cums, row_indices=picked)
-    return new_simplex(aggregate), trace
+    return new_simplex(aggregate), picked
 
 
 def optimal_alpha(budget: PrivacyBudget, width: float, k: int, n: int) -> float:

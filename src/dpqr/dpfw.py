@@ -3,7 +3,7 @@
 Each iteration scores every workload row against the empirical dual gradient,
 picks a row by Report Noisy Max, and moves the dual iterate a step toward it,
 so iterates stay in the hull of the workload by construction.  The returned
-dual point is a uniformly random iterate, and the released distribution is
+dual vector is a uniformly random iterate, and the released distribution is
 its image under the entropy-conjugate gradient map (softmax of q / alpha),
 which solves the inner primal minimization exactly.
 """
@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     Dataset,
-    DualPoint,
     PrivacyBudget,
     QueryWorkload,
     SimplexVector,
@@ -26,7 +25,6 @@ from .core import (
     as_values,
     diameters,
     empirical,
-    new_dual_point,
 )
 from .entropy import softmax
 from .errors import InvalidParams
@@ -43,10 +41,6 @@ class FWTrace:
     output_index: int
     gaps: np.ndarray | None = None
 
-    @property
-    def T(self) -> int:
-        return self.row_indices.shape[0]
-
 
 def run_dpfw(
     data: Dataset,
@@ -55,10 +49,10 @@ def run_dpfw(
     rng: NoiseStream,
     schedule: FWSchedule,
     track_gap: bool = False,
-) -> tuple[DualPoint, FWTrace]:
+) -> tuple[np.ndarray, FWTrace]:
     """Run the private Frank-Wolfe solver on a calibrated schedule.
 
-    Returns (dual point, trace).  With ``track_gap`` the linearized gap of
+    Returns (dual vector, trace).  With ``track_gap`` the linearized gap of
     every iterate against the empirical distribution is recorded; this
     costs an extra row scan per iteration and is off by default.
     """
@@ -71,17 +65,12 @@ def run_dpfw(
     out_index = int(rng.substream("output").integers(t_total))
 
     q = rows[0].copy()
-    weights = np.zeros(workload.m)
-    weights[0] = 1.0
     picked = np.empty(t_total, dtype=np.int64)
     gaps = np.empty(t_total) if track_gap else None
-    q_out = q.copy()
-    w_out = weights.copy()
 
     for t in range(t_total):
         if t == out_index:
             q_out = q.copy()
-            w_out = weights.copy()
         if track_gap:
             gaps[t] = frank_wolfe_gap(q, emp, a, workload)
         grad = emp - softmax(q / a).values
@@ -89,11 +78,9 @@ def run_dpfw(
         i = report_noisy_max(scores, schedule.lam, noise)
         picked[t] = i
         q += gamma * (rows[i] - q)
-        weights *= 1.0 - gamma
-        weights[i] += gamma
 
     trace = FWTrace(row_indices=picked, output_index=out_index, gaps=gaps)
-    return new_dual_point(q_out, w_out), trace
+    return q_out, trace
 
 
 def dual_to_primal(q, alpha) -> SimplexVector:

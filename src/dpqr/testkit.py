@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualPoint, QueryWorkload, SimplexVector, as_alpha, as_values, new_simplex
+from .core import QueryWorkload, SimplexVector, as_alpha, as_values, new_simplex
 from .entropy import ProxProblem
 from .errors import GridTooLarge, NonConvergence, ValidationError
 
@@ -176,11 +176,12 @@ def grid_min_primal(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[Simpl
     return new_simplex(points[best_idx]), best_val
 
 
-def grid_max_dual(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[DualPoint, float]:
+def grid_max_dual(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Exhaustive maximizer of the regularized dual over hull-weight grids.
 
     The hull of the workload is parameterized by convex weights on its rows,
-    so the grid lives on the m-dimensional simplex.
+    so the grid lives on the m-dimensional simplex.  Returns the maximizing
+    weights and the dual value; the dual vector is ``weights @ w.queries``.
     """
     a = as_alpha(alpha, positive=True)
     if grid.k != w.m:
@@ -200,5 +201,4 @@ def grid_max_dual(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[DualPoi
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_idx = lo + i
-    wts = weights[best_idx]
-    return DualPoint(vector=wts @ w.queries, weights=wts), best_val
+    return weights[best_idx], best_val

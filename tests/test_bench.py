@@ -14,7 +14,7 @@ from dpqr.bench import (
     sample_dataset,
 )
 from dpqr.core import empirical, new_simplex, uniform
-from dpqr.errors import InvalidSpec, ValidationError
+from dpqr.errors import InvalidAlpha, InvalidParams, InvalidSpec, ValidationError
 from dpqr.mechanisms import NoiseStream
 
 
@@ -191,6 +191,30 @@ class TestRunExperiment:
         assert ExperimentPlan.from_dict(d) == plan
         # "both" may be written as a bare string rather than a list
         assert ExperimentPlan.from_dict({**d, "algorithms": "both"}) == plan
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"delta": 2.0}, InvalidParams),
+            ({"delta": 0.0}, InvalidParams),
+            ({"delta": 1.0}, InvalidParams),
+            ({"alpha": -0.5}, InvalidAlpha),
+            ({"alpha": 0.0}, InvalidAlpha),
+            ({"alpha": math.inf}, InvalidAlpha),
+            ({"eps_grid": (1.0, math.inf)}, ValidationError),
+            ({"eps_grid": (math.nan,)}, ValidationError),
+        ],
+        ids=[
+            "delta-2", "delta-0", "delta-1", "alpha-negative", "alpha-0", "alpha-inf",
+            "eps-inf", "eps-nan",
+        ],
+    )
+    def test_invalid_plan_rejected_when_built(self, overrides, error):
+        # such a plan used to run every repetition to a recorded failure
+        with pytest.raises(error):
+            tiny_plan(**overrides)
+        with pytest.raises(error):
+            ExperimentPlan.from_dict({**tiny_plan().to_dict(), **overrides})
 
     def test_plan_defaults_and_missing_field(self):
         d = tiny_plan().to_dict()

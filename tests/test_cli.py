@@ -289,6 +289,36 @@ class TestSubcommands:
         assert len(result["cells"]) == 1
         assert "runtimes" not in result
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("delta", 2.0, "delta must lie in (0, 1)"),
+            ("delta", 0.0, "delta must lie in (0, 1)"),
+            ("alpha", -0.5, "alpha must be a finite nonnegative real"),
+            ("alpha", 0.0, "alpha must be strictly positive"),
+        ],
+        ids=["delta-2", "delta-0", "alpha-negative", "alpha-0"],
+    )
+    def test_bench_invalid_plan_exit_2(self, tmp_path, capsys, field, value, message):
+        ppath = tmp_path / "plan.json"
+        write_plan(ppath)
+        plan = json.loads(ppath.read_text())
+        plan[field] = value
+        ppath.write_text(json.dumps(plan))
+        out = tmp_path / "res.json"
+        assert main(["bench", "--plan", str(ppath), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_workers_env_not_integer_exit_2(self, tmp_path, monkeypatch, capsys):
+        ppath = tmp_path / "plan.json"
+        write_plan(ppath)
+        monkeypatch.setenv("DPQR_WORKERS", "abc")
+        out = tmp_path / "res.json"
+        assert main(["bench", "--plan", str(ppath), "--out", str(out)]) == 2
+        assert "DPQR_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_from_report(self, toy_files):
         tmp_path, wpath, dpath, _ = toy_files
         rpath = tmp_path / "r.json"

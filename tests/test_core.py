@@ -10,9 +10,7 @@ from dpqr.core import (
     QueryWorkload,
     diameters,
     empirical,
-    hull_residual,
     new_dataset,
-    new_dual_point,
     new_simplex,
     new_workload,
     symmetrize,
@@ -196,13 +194,6 @@ class TestBudgetAndDual:
             PrivacyBudget(1.0, 0.0)
         with pytest.raises(InvalidParams):
             PrivacyBudget(1.0, 1.0)
-
-    def test_dual_point_weights(self):
-        w = new_workload([[1.0, -1.0], [-1.0, 1.0]])
-        q = new_dual_point([0.0, 0.0], weights=[0.5, 0.5])
-        assert hull_residual(q, w) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(NotNormalized):
-            new_dual_point([0.0, 0.0], weights=[0.7, 0.5])
 
     def test_as_alpha(self):
         from dpqr.core import as_alpha

@@ -111,9 +111,9 @@ class TestDualGrid:
     def test_symmetric_two_row_maximizer(self):
         w = symmetrize(new_workload([[0.8, -0.8]]))
         spec = GridSpec(resolution=100, k=2)
-        q_star, _ = grid_max_dual(uniform(2), w, 0.7, spec)
-        assert np.abs(q_star.weights - 0.5).max() < 1e-9
-        assert np.abs(q_star.vector).max() < 1e-9
+        weights, _ = grid_max_dual(uniform(2), w, 0.7, spec)
+        assert np.abs(weights - 0.5).max() < 1e-9
+        assert np.abs(weights @ w.queries).max() < 1e-9
 
     def test_small_alpha_approaches_primal_optimum(self):
         # as alpha -> 0 the conjugate term tends to max_j q_j, so the dual
@@ -145,5 +145,6 @@ class TestDualGrid:
         rng = np.random.default_rng(7)
         w = new_workload(rng.uniform(-1, 1, size=(3, 3)))
         ref = new_simplex(rng.dirichlet(np.ones(3)))
-        q_star, value = grid_max_dual(ref, w, 0.4, GridSpec(resolution=30, k=3))
+        weights, value = grid_max_dual(ref, w, 0.4, GridSpec(resolution=30, k=3))
+        q_star = weights @ w.queries
         assert value == pytest.approx(regularized_dual(q_star, ref, 0.4), abs=1e-12)
