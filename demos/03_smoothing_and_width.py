@@ -39,7 +39,7 @@ draws = 50_000
 stream = rng.substream("oracle")
 grads = np.empty((draws, k))
 for i in range(draws):
-    grads[i] = smoothed_gradient_oracle(d, target, workload, sigma, stream).gradient
+    grads[i], _ = smoothed_gradient_oracle(d, target, workload, sigma, stream)
 mean_grad = grads.mean(axis=0)
 se = grads.std(axis=0, ddof=1) / math.sqrt(draws)
 print(f"\nmean oracle gradient at sigma={sigma} (+- 3 stderr):")

@@ -93,10 +93,7 @@ def gen_workload(k: int, m: int, kind: str, rng: NoiseStream) -> QueryWorkload:
         if k != 2 ** d:
             raise InvalidSpec(f"parities({d}) needs k = {2 ** d}, got {k}")
         z = np.arange(k)
-        rows = np.empty((k, k))
-        for i, s in enumerate(z):
-            bits = np.bitwise_count(np.bitwise_and(s, z))
-            rows[i] = np.where(bits % 2 == 0, 1.0, -1.0)
+        rows = np.where(np.bitwise_count(np.bitwise_and.outer(z, z)) % 2 == 0, 1.0, -1.0)
         return symmetrize(new_workload(rows))
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
@@ -175,6 +172,8 @@ class ExperimentPlan:
             raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
         if self.alpha is not None:
             as_alpha(self.alpha, positive=True)
+        if self.workers < 1:
+            raise ValidationError(f"need workers >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return to_record(self)
@@ -254,6 +253,9 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     Per-repetition failures are recorded in the owning cell, not raised.
     """
     t_start = time.perf_counter()
+    n_workers = plan.workers if workers is None else workers
+    if n_workers < 1:
+        raise ValidationError(f"need workers >= 1, got {n_workers}")
     master = NoiseStream(plan.seed, "plan")
     target = gen_distribution(plan.k, plan.dist_kind, master.substream("distribution"))
     workload = gen_workload(plan.k, plan.workload_m, plan.workload_kind, master.substream("workload"))
@@ -273,7 +275,6 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
         except Exception as exc:  # recorded, not fatal
             return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
-    n_workers = workers if workers is not None else plan.workers
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             records = list(pool.map(execute, tasks))

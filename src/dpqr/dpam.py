@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +47,6 @@ def run_dpam(
     alpha,
     rng: NoiseStream,
     schedule: AMSchedule,
-    zero_noise: bool = False,
 ) -> tuple[SimplexVector, np.ndarray]:
     """Run the private mirror-descent solver on a calibrated schedule.
 
@@ -54,9 +54,8 @@ def run_dpam(
     The prox step runs the step rule on the alpha-normalized objective,
     scaling both the entropy and divergence weights by alpha so the
     effective step on the gradient is of order 2/(alpha t), the right scale
-    for an alpha-strongly-convex composite.
-    ``zero_noise`` routes the oracle through its exact-subgradient debug
-    hook; such a run is not private.
+    for an alpha-strongly-convex composite.  A schedule with sigma = 0
+    makes the oracle the exact subgradient; such a run is not private.
     """
     a = as_alpha(alpha, positive=True)
     emp = empirical(data, workload.k)
@@ -72,22 +71,21 @@ def run_dpam(
         eta_t = schedule.eta(t)
         denom = eta_cum + eta_t
         midpoint = (eta_cum / denom) * aggregate + (eta_t / denom) * current.values
-        draw = smoothed_gradient_oracle(
-            midpoint, emp, workload, schedule.sigma, oracle, zero_noise=zero_noise
+        g, picked[t - 1] = smoothed_gradient_oracle(
+            midpoint, emp, workload, schedule.sigma, oracle
         )
         nxt = composite_prox(
             ProxProblem(
                 A=eta_t,
                 B=eta_t * a,
                 C=eta_cum * a,
-                g=draw.gradient,
+                g=g,
                 anchor=current,
             )
         )
         aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt.values
         current = nxt
         eta_cum = denom
-        picked[t - 1] = draw.row
 
     return new_simplex(aggregate), picked
 
@@ -135,7 +133,9 @@ def release_dpam(
 
     The Monte Carlo width estimate (not the unknown true width) feeds the
     iteration count, noise scale, and default regularization strength, and
-    is recorded in the report together with the regime flag.
+    is recorded in the report together with the regime flag.  ``no_noise``
+    runs the schedule with sigma = 0: the run is NOT private and the report
+    is flagged accordingly.
     """
     t0 = time.perf_counter()
     west: WidthEstimate = gaussian_width(workload, WIDTH_SAMPLES, rng.substream("width"))
@@ -145,8 +145,10 @@ def release_dpam(
     )
     if schedule is None:
         schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)
+    if no_noise:
+        schedule = replace(schedule, sigma=0.0)
 
-    p_priv, _ = run_dpam(data, workload, a, rng, schedule, zero_noise=no_noise)
+    p_priv, _ = run_dpam(data, workload, a, rng, schedule)
     solved = time.perf_counter()
     emp = empirical(data, workload.k)
     return RunReport.of_release(
@@ -156,6 +158,6 @@ def release_dpam(
         population_max_error=(
             None if true_dist is None else max_query_error(true_dist, p_priv, workload)
         ),
-        no_noise=no_noise, started=t0, solved=solved, width=west,
+        started=t0, solved=solved, width=west,
         regime_ok=regime_ok(west.mean, budget, workload.k, data.n),
     )

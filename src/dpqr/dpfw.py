@@ -124,8 +124,8 @@ def release_dpfw(
 ) -> RunReport:
     """Full DPFW pipeline: calibrate, solve the dual, map to a distribution, report.
 
-    ``no_noise`` zeroes the selection noise: the run is NOT private and the
-    report is flagged accordingly.  ``true_dist`` adds the population max
+    ``no_noise`` runs the schedule with lam = 0: the run is NOT private and
+    the report is flagged accordingly.  ``true_dist`` adds the population max
     error for synthetic benchmarks.
     """
     t0 = time.perf_counter()
@@ -162,5 +162,5 @@ def release_dpfw(
         population_max_error=(
             None if true_dist is None else max_query_error(true_dist, p_priv, workload)
         ),
-        no_noise=no_noise, started=t0, solved=solved, diagnostics=diagnostics,
+        started=t0, solved=solved, diagnostics=diagnostics,
     )

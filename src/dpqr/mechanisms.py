@@ -131,7 +131,8 @@ class AMSchedule:
 
     eta(t) = t + eta_offset is strictly positive and nondecreasing; the
     offset is fixed by the regularization strength and smoothing scale at
-    calibration time.
+    calibration time.  sigma = 0 turns the oracle noise off, as lam = 0 does
+    for ``FWSchedule``; such a run is not private.
     """
 
     T: int
@@ -142,14 +143,22 @@ class AMSchedule:
     def __post_init__(self):
         if self.T < 1:
             raise DegenerateSchedule(f"need T >= 1, got {self.T}")
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise DegenerateSchedule(f"need sigma > 0, got {self.sigma}")
+        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
+            raise DegenerateSchedule(f"need sigma >= 0, got {self.sigma}")
         if not (self.eta_offset > 0.0):
             raise DegenerateSchedule(f"need eta_offset > 0, got {self.eta_offset}")
 
     def eta(self, t: int) -> float:
         """Step weight for iteration t (1-based)."""
         return float(t) + self.eta_offset
+
+
+def _iteration_count(t_raw: float, max_t: int) -> tuple[int, bool]:
+    """(T, capped): t_raw floored, clamped to >= 1, and capped at ``max_t``."""
+    if not math.isfinite(t_raw) or t_raw <= 0.0:
+        raise DegenerateSchedule(f"iteration formula produced {t_raw}")
+    t = max(1, math.floor(t_raw))
+    return min(t, max_t), t > max_t
 
 
 def dpfw_schedule(
@@ -189,12 +198,7 @@ def dpfw_schedule(
     t_raw = (base ** 1.5) * budget.epsilon * n / (
         math.sqrt(32.0 * a * log_delta) * math.log(2.0 * m_queries)
     )
-    if not math.isfinite(t_raw) or t_raw <= 0.0:
-        raise DegenerateSchedule(f"iteration formula produced {t_raw}")
-    t = max(1, math.floor(t_raw))
-    capped = t > max_t
-    if capped:
-        t = max_t
+    t, capped = _iteration_count(t_raw, max_t)
     gamma = min(1.0, 2.0 * math.sqrt(a / (t * dinf)))
     lam = 4.0 * d1 * math.sqrt(2.0 * t * log_delta) / (budget.epsilon * n)
     return FWSchedule(T=t, gamma=gamma, lam=lam, capped=capped)
@@ -227,13 +231,10 @@ def dpam_schedule(
         raise InvalidParams(f"need n >= 1, got {n}")
     log_delta = math.log(1.0 / budget.delta)
     t_raw = math.sqrt(math.log(k) / log_delta) * budget.epsilon * n / width
-    if not math.isfinite(t_raw) or t_raw <= 0.0:
-        raise DegenerateSchedule(f"iteration formula produced {t_raw}")
-    t = max(1, math.floor(t_raw))
-    capped = t > max_t
-    if capped:
-        t = max_t
+    t, capped = _iteration_count(t_raw, max_t)
     sigma = 4.0 * math.sqrt(t * log_delta) / (n * budget.epsilon)
+    if not sigma > 0.0:
+        raise DegenerateSchedule(f"noise scale formula produced {sigma}")
     eta_offset = math.sqrt(4.0 / (a * sigma)) + 1.0
     return AMSchedule(T=t, sigma=sigma, eta_offset=eta_offset, capped=capped)
 

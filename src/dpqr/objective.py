@@ -17,7 +17,6 @@ within sigma * width(Q) of phi, and the row maximizing <q, ref - d + xi> is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,41 +111,28 @@ def frank_wolfe_gap(q, ref, alpha, w: QueryWorkload) -> float:
     return float((w.queries @ grad).max() - grad @ qv)
 
 
-class OracleDraw(NamedTuple):
-    """One stochastic-gradient draw: the gradient, the noise used, the row picked."""
-
-    gradient: np.ndarray
-    noise: np.ndarray
-    row: int
-
-
 def smoothed_gradient_oracle(
     d,
     emp,
     w: QueryWorkload,
     sigma: float,
     rng: NoiseStream,
-    zero_noise: bool = False,
-) -> OracleDraw:
+) -> tuple[np.ndarray, int]:
     """Stochastic gradient of the Gaussian-smoothed primal at d.
 
     Draws xi ~ N(0, sigma^2 I), scans the rows for the maximizer of
-    <q, emp - d + xi>, and returns the negated winning row, a descent
-    direction for the smoothed objective.  Ties (a null event for sigma > 0)
-    resolve to the lowest row index.  ``zero_noise`` forces xi = 0, turning
-    the oracle into the exact subgradient used by non-private debug runs.
+    <q, emp - d + xi>, and returns (the negated winning row, its index): the
+    row is a descent direction for the smoothed objective.  Ties (a null
+    event for sigma > 0) resolve to the lowest row index.  At sigma = 0 the
+    draw is exact zeros and the oracle is the exact subgradient of a
+    non-private run.
     """
-    if sigma <= 0.0:
-        raise ValidationError(f"need sigma > 0, got {sigma}")
     dv = as_values(d)
     _check_dims(dv, w)
-    if zero_noise:
-        xi = np.zeros(w.k)
-    else:
-        xi = rng.gaussian(sigma, size=w.k)
+    xi = rng.gaussian(sigma, size=w.k)
     scores = w.queries @ (as_values(emp) - dv + xi)
     row = int(np.argmax(scores))
-    return OracleDraw(gradient=-w.queries[row].copy(), noise=xi, row=row)
+    return -w.queries[row], row
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class RunReport:
     @classmethod
     def of_release(
         cls, *, algorithm, data, workload, budget, alpha, rng, schedule, p_priv,
-        empirical_max_error, population_max_error, no_noise, started, solved,
+        empirical_max_error, population_max_error, started, solved,
         width=None, regime_ok=None, diagnostics=None, **schedule_extra,
     ) -> "RunReport":
         """Report of a finished release; ``started``/``solved`` are perf_counter stamps.
@@ -107,7 +107,9 @@ class RunReport:
         ``schedule_extra`` adds entries to its record; ``width`` is the width
         estimate dataclass, if the solver used one.  The caveat notes
         follow from the inputs: a workload not closed under negation, a
-        capped iteration count, a failed regime check, and disabled noise.
+        capped iteration count, a failed regime check, and a zero noise
+        scale (``lam`` for DPFW, ``sigma`` for DPAM), which also sets
+        ``no_noise``.
         """
         notes = []
         if not workload.symmetric:
@@ -116,6 +118,7 @@ class RunReport:
             notes.append(f"iteration count capped at {schedule.T}")
         if regime_ok is False:
             notes.append("sample size below the smoothing-dominance threshold")
+        no_noise = (schedule.lam if algorithm == "dpfw" else schedule.sigma) == 0.0
         if no_noise:
             noise = "selection" if algorithm == "dpfw" else "oracle"
             notes.append(f"NON-PRIVATE DEBUG RUN: {noise} noise disabled, budget not honored")

@@ -11,6 +11,7 @@ repository notes for the full analysis; the criterion is asserted as stated.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -176,7 +177,7 @@ def test_criterion_05_oracle_unbiasedness():
     stream = NoiseStream(1050, "oracle-mc")
     grads = np.empty((n_draws, 4))
     for i in range(n_draws):
-        grads[i] = smoothed_gradient_oracle(d, emp, w, sigma, stream).gradient
+        grads[i], _ = smoothed_gradient_oracle(d, emp, w, sigma, stream)
     primal_mean = grads.mean(axis=0)
     primal_se = grads.std(axis=0, ddof=1) / math.sqrt(n_draws)
 
@@ -255,7 +256,7 @@ def test_criterion_08_non_private_limit():
         T=2000, sigma=1e-3, eta_offset=math.sqrt(4.0 / (alpha * 1e-3)) + 1.0
     )
     priv, _ = run_dpam(
-        data, swap, alpha, NoiseStream(108, "am"), am_sched, zero_noise=True
+        data, swap, alpha, NoiseStream(108, "am"), replace(am_sched, sigma=0.0)
     )
     width = gaussian_width(swap, 100_000, NoiseStream(108, "w"))
     _, best = grid_min_primal(emp, swap, alpha, GridSpec(resolution=4000, k=2))

@@ -203,10 +203,12 @@ class TestRunExperiment:
             ({"alpha": math.inf}, InvalidAlpha),
             ({"eps_grid": (1.0, math.inf)}, ValidationError),
             ({"eps_grid": (math.nan,)}, ValidationError),
+            ({"workers": 0}, ValidationError),
+            ({"workers": -3}, ValidationError),
         ],
         ids=[
             "delta-2", "delta-0", "delta-1", "alpha-negative", "alpha-0", "alpha-inf",
-            "eps-inf", "eps-nan",
+            "eps-inf", "eps-nan", "workers-0", "workers-negative",
         ],
     )
     def test_invalid_plan_rejected_when_built(self, overrides, error):
@@ -215,6 +217,12 @@ class TestRunExperiment:
             tiny_plan(**overrides)
         with pytest.raises(error):
             ExperimentPlan.from_dict({**tiny_plan().to_dict(), **overrides})
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_1_rejected(self, workers):
+        # such a count used to run serially without a word
+        with pytest.raises(ValidationError, match="need workers >= 1"):
+            run_experiment(tiny_plan(), workers=workers)
 
     def test_plan_defaults_and_missing_field(self):
         d = tiny_plan().to_dict()

@@ -296,8 +296,9 @@ class TestSubcommands:
             ("delta", 0.0, "delta must lie in (0, 1)"),
             ("alpha", -0.5, "alpha must be a finite nonnegative real"),
             ("alpha", 0.0, "alpha must be strictly positive"),
+            ("workers", 0, "need workers >= 1, got 0"),
         ],
-        ids=["delta-2", "delta-0", "alpha-negative", "alpha-0"],
+        ids=["delta-2", "delta-0", "alpha-negative", "alpha-0", "workers-0"],
     )
     def test_bench_invalid_plan_exit_2(self, tmp_path, capsys, field, value, message):
         ppath = tmp_path / "plan.json"
@@ -308,6 +309,18 @@ class TestSubcommands:
         out = tmp_path / "res.json"
         assert main(["bench", "--plan", str(ppath), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), ([], "0")],
+                             ids=["flag", "env"])
+    def test_bench_workers_below_1_exit_2(self, tmp_path, monkeypatch, capsys, flag, env):
+        ppath = tmp_path / "plan.json"
+        write_plan(ppath)
+        if env is not None:
+            monkeypatch.setenv("DPQR_WORKERS", env)
+        out = tmp_path / "res.json"
+        assert main(["bench", "--plan", str(ppath), "--out", str(out), *flag]) == 2
+        assert "need workers >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_workers_env_not_integer_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -439,9 +452,8 @@ class TestReportRoundTrip:
         ) == 0
         return json.loads(rpath.read_text())
 
-    def test_replay_from_report_and_inputs(self, toy_files):
-        # a written report carries the exact schedule, alpha, and seed, so
-        # the run reproduces from it plus the input files alone
+    @staticmethod
+    def _run_and_replay(toy_files, *flags):
         from dpqr.dpam import release_dpam
         from dpqr.mechanisms import AMSchedule, NoiseStream
 
@@ -449,7 +461,7 @@ class TestReportRoundTrip:
         rpath = tmp_path / "r.json"
         assert main(
             ["run", "--algo", "dpam", "--data", str(dpath), "--workload", str(wpath),
-             "--eps", "1.0", "--delta", "1e-6", "--seed", "21", "--out", str(rpath)]
+             "--eps", "1.0", "--delta", "1e-6", "--seed", "21", "--out", str(rpath), *flags]
         ) == 0
         report = load_report(str(rpath))
         sched = AMSchedule(
@@ -464,5 +476,19 @@ class TestReportRoundTrip:
             data, w, PrivacyBudget(report.epsilon, report.delta),
             NoiseStream(report.seed, "run"), alpha=report.alpha, schedule=sched,
         )
+        return report, replay
+
+    def test_replay_from_report_and_inputs(self, toy_files):
+        # a written report carries the exact schedule, alpha, and seed, so
+        # the run reproduces from it plus the input files alone
+        report, replay = self._run_and_replay(toy_files)
         assert replay.p_priv == report.p_priv
         assert replay.empirical_max_error == report.empirical_max_error
+
+    def test_replay_no_noise_report(self, toy_files):
+        # a --no-noise report records sigma = 0, so its replay is the same
+        # non-private run and is flagged as one
+        report, replay = self._run_and_replay(toy_files, "--no-noise")
+        assert report.schedule["sigma"] == 0.0
+        assert replay.p_priv == report.p_priv
+        assert replay.no_noise and replay.warnings == report.warnings

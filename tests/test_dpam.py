@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestRunDpam:
         alpha = 0.5
         sched = small_schedule(t=2000, sigma=1e-3, alpha=alpha)
         priv, _ = run_dpam(
-            TOY_DATA, SWAP, alpha, NoiseStream(5, "am"), sched, zero_noise=True
+            TOY_DATA, SWAP, alpha, NoiseStream(5, "am"), replace(sched, sigma=0.0)
         )
         emp = empirical(TOY_DATA, 2)
         _, best = grid_min_primal(emp, SWAP, alpha, GridSpec(resolution=4000, k=2))
@@ -115,10 +116,8 @@ class TestRunDpam:
         eta_cum = 0.0
         for t in range(1, 9):
             eta_t = t + 10.0
-            draw = smoothed_gradient_oracle(anchor, emp, w3, 0.2, stream)
-            prob = ProxProblem(
-                A=eta_t, B=eta_t * alpha, C=eta_cum * alpha, g=draw.gradient, anchor=anchor
-            )
+            g, _ = smoothed_gradient_oracle(anchor, emp, w3, 0.2, stream)
+            prob = ProxProblem(A=eta_t, B=eta_t * alpha, C=eta_cum * alpha, g=g, anchor=anchor)
             closed = composite_prox(prob)
             brute = brute_force_prox(prob)
             assert np.abs(closed.values - brute.values).max() < 1e-6
@@ -165,6 +164,15 @@ class TestRelease:
     def test_no_noise_flagged(self):
         report = release_dpam(
             TOY_DATA, SWAP, BUDGET, NoiseStream(10, "rel"), alpha=0.5, no_noise=True
+        )
+        assert report.no_noise
+        assert any("NON-PRIVATE" in w for w in report.warnings)
+
+    def test_zero_scale_schedule_flagged(self):
+        # a caller's sigma = 0 schedule is just as non-private as no_noise
+        report = release_dpam(
+            TOY_DATA, SWAP, BUDGET, NoiseStream(10, "rel"), alpha=0.5,
+            schedule=replace(small_schedule(alpha=0.5), sigma=0.0),
         )
         assert report.no_noise
         assert any("NON-PRIVATE" in w for w in report.warnings)

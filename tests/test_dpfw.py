@@ -156,6 +156,15 @@ class TestRelease:
         assert a.p_priv == b.p_priv
         assert a.schedule == b.schedule
 
+    def test_zero_scale_schedule_flagged(self):
+        # a caller's lam = 0 schedule is just as non-private as no_noise
+        report = release_dpfw(
+            TOY_DATA, SWAP, BUDGET, NoiseStream(14, "rel"), alpha=0.5,
+            schedule=small_schedule(lam=0.0),
+        )
+        assert report.no_noise
+        assert any("NON-PRIVATE" in w for w in report.warnings)
+
     def test_non_private_limit_error(self):
         # no selection noise: the released distribution's worst error stays
         # within the regularization bias alpha log k plus a small

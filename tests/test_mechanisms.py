@@ -85,6 +85,10 @@ class TestGaussian:
         draws = NoiseStream(2, "g").gaussian(1e-12, size=1000)
         assert np.all(np.abs(draws) < 1e-10)
 
+    def test_scale_zero_exact(self):
+        # the oracle of a no-noise DPAM run draws at sigma = 0
+        assert np.all(NoiseStream(2, "g").gaussian(0.0, size=1000) == 0.0)
+
     def test_deterministic(self):
         a = NoiseStream(4, "g").gaussian(0.3, size=8)
         b = NoiseStream(4, "g").gaussian(0.3, size=8)

@@ -15,12 +15,15 @@ import pytest
 import dpqr
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# demos 01 and 05 take over ten seconds each, so only their imports run
+FAST_DEMOS = [d for d in DEMOS if d.name[:2] in ("02", "03", "04")]
+SRC = str(Path(dpqr.__file__).resolve().parents[1])
 
 
 def test_cli_module_runs_without_warnings():
     # importing dpqr.cli from __init__ makes runpy warn that the module was
     # already in sys.modules when run as ``python -m dpqr.cli``
-    env = {**os.environ, "PYTHONPATH": str(Path(dpqr.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "dpqr.cli", "--help"],
         capture_output=True, text=True, env=env, timeout=60,
@@ -37,3 +40,12 @@ def test_demo_imports_resolve(demo):
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(body=imports, type_ignores=[]), str(demo), "exec"), {})
+
+
+@pytest.mark.parametrize("demo", FAST_DEMOS, ids=lambda p: p.name)
+def test_fast_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -197,18 +197,15 @@ class TestFrankWolfeGap:
 class TestSmoothedOracle:
     def test_zero_noise_picks_argmax(self):
         emp = new_simplex([0.9, 0.1])
-        draw = smoothed_gradient_oracle(
-            uniform(2), emp, SWAP, 0.5, NoiseStream(0, "o"), zero_noise=True
-        )
-        assert draw.row == 0  # row (1,-1) scores highest against emp - d
-        assert np.allclose(draw.gradient, -SWAP.queries[0])
-        assert np.allclose(draw.noise, 0.0)
+        grad, row = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.0, NoiseStream(0, "o"))
+        assert row == 0  # row (1,-1) scores highest against emp - d
+        assert np.allclose(grad, -SWAP.queries[0])
 
     def test_deterministic_per_counter(self):
         emp = new_simplex([0.6, 0.4])
-        a = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
-        b = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
-        assert np.array_equal(a.noise, b.noise) and a.row == b.row
+        ga, ra = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
+        gb, rb = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
+        assert np.array_equal(ga, gb) and ra == rb
 
     def test_unbiased_against_dual_estimator(self):
         # primal estimate: mean of returned gradients; dual estimate:
@@ -223,7 +220,7 @@ class TestSmoothedOracle:
         stream = NoiseStream(13, "oracle-mc")
         grads = np.empty((n_draws, 3))
         for i in range(n_draws):
-            grads[i] = smoothed_gradient_oracle(d, emp, w, sigma, stream).gradient
+            grads[i], _ = smoothed_gradient_oracle(d, emp, w, sigma, stream)
         primal_mean = grads.mean(axis=0)
         primal_se = grads.std(axis=0, ddof=1) / math.sqrt(n_draws)
 
@@ -245,7 +242,7 @@ class TestSmoothedOracle:
         d = new_simplex(rng.dirichlet(np.ones(3)))
         stream = NoiseStream(15, "oracle-var")
         grads = np.array(
-            [smoothed_gradient_oracle(d, emp, w, 0.4, stream).gradient for _ in range(5000)]
+            [smoothed_gradient_oracle(d, emp, w, 0.4, stream)[0] for _ in range(5000)]
         )
         center = grads.mean(axis=0)
         dev = np.abs(grads - center).max(axis=1) ** 2
