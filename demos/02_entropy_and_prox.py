@@ -5,7 +5,6 @@ import numpy as np
 from dpqr.core import new_simplex, uniform
 from dpqr.dpfw import dual_to_primal
 from dpqr.entropy import (
-    ProxProblem,
     composite_prox,
     kl_divergence,
     log_sum_exp,
@@ -34,11 +33,11 @@ print(f"  KL(d, a) = {kl_divergence(d, a):.6f}  (>= 0, zero iff equal)")
 #   min_d  A <g, d> + B H(d) + C KL(d, anchor)
 # in closed form; a projected-gradient oracle confirms it numerically
 rng = np.random.default_rng(1)
-prob = ProxProblem(
+prob = dict(
     A=3.0, B=0.8, C=2.5, g=rng.uniform(-1, 1, 3), anchor=new_simplex([0.5, 0.25, 0.25])
 )
-closed = composite_prox(prob).values
-brute = brute_force_prox(prob).values
+closed = composite_prox(**prob).values
+brute = brute_force_prox(**prob).values
 print("\ncomposite prox, closed form:  ", closed.round(8))
 print("projected-gradient minimizer: ", brute.round(8))
 print(f"agreement (Linf): {np.abs(closed - brute).max():.2e}")

@@ -174,6 +174,8 @@ class ExperimentPlan:
             as_alpha(self.alpha, positive=True)
         if self.workers < 1:
             raise ValidationError(f"need workers >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValidationError(f"need seed >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return to_record(self)

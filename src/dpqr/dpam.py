@@ -32,7 +32,7 @@ from .core import (
     new_simplex,
     uniform,
 )
-from .entropy import ProxProblem, composite_prox
+from .entropy import composite_prox
 from .errors import InvalidParams
 from .mechanisms import AMSchedule, NoiseStream, dpam_schedule
 from .objective import WidthEstimate, gaussian_width, max_query_error, smoothed_gradient_oracle
@@ -54,8 +54,9 @@ def run_dpam(
     The prox step runs the step rule on the alpha-normalized objective,
     scaling both the entropy and divergence weights by alpha so the
     effective step on the gradient is of order 2/(alpha t), the right scale
-    for an alpha-strongly-convex composite.  A schedule with sigma = 0
-    makes the oracle the exact subgradient; such a run is not private.
+    for an alpha-strongly-convex composite.  Only the returned aggregate is
+    validated.  A schedule with sigma = 0 makes the oracle the exact
+    subgradient; such a run is not private.
     """
     a = as_alpha(alpha, positive=True)
     emp = empirical(data, workload.k)
@@ -74,15 +75,7 @@ def run_dpam(
         g, picked[t - 1] = smoothed_gradient_oracle(
             midpoint, emp, workload, schedule.sigma, oracle
         )
-        nxt = composite_prox(
-            ProxProblem(
-                A=eta_t,
-                B=eta_t * a,
-                C=eta_cum * a,
-                g=g,
-                anchor=current,
-            )
-        )
+        nxt = composite_prox(g, current, eta_t, eta_t * a, eta_cum * a)
         aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt.values
         current = nxt
         eta_cum = denom

@@ -13,11 +13,9 @@ exp((-A g_i - B + C log anchor_i) / (B + C)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SimplexVector, as_values, new_simplex, _freeze
+from .core import SimplexVector, as_values, _freeze
 from .errors import AnchorHasZero, ValidationError
 
 # floor applied to prox outputs so later entropy/KL evaluations stay finite
@@ -63,42 +61,23 @@ def kl_divergence(d, anchor) -> float:
     return float(np.sum(dv[pos] * (np.log(dv[pos]) - np.log(av[pos]))))
 
 
-@dataclass(frozen=True)
-class ProxProblem:
-    """Data of one entropic composite prox step.
-
-    B may be zero (pure KL step) as long as B + C > 0; the anchor must be
-    strictly positive so its logarithm is finite.
-    """
-
-    A: float
-    B: float
-    C: float
-    g: np.ndarray
-    anchor: SimplexVector
-
-    def __post_init__(self):
-        if not (self.B >= 0.0 and self.C >= 0.0 and self.B + self.C > 0.0):
-            raise ValidationError(
-                f"need B >= 0, C >= 0, B + C > 0; got B={self.B}, C={self.C}"
-            )
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != self.anchor.values.shape:
-            raise ValidationError(f"g has shape {g.shape}, anchor {self.anchor.values.shape}")
-        if np.any(self.anchor.values <= 0.0):
-            raise AnchorHasZero("prox anchor must be strictly positive")
-        object.__setattr__(self, "g", _freeze(g.copy()))
-
-
-def composite_prox(p: ProxProblem) -> SimplexVector:
+def composite_prox(g, anchor, A: float, B: float, C: float) -> SimplexVector:
     """Unique simplex minimizer of A <g, d> + B H(d) + C KL(d, anchor).
 
-    Evaluated in log space: the exponent can be large when B + C is small, so
-    the normalization goes through the stable softmax.  Every output entry is
-    strictly positive (floored at 1e-300 against exp underflow).
+    ``g`` and ``anchor`` share one shape.  B may be zero (pure KL step) as
+    long as B + C > 0; the anchor must be strictly positive.  The exponent
+    goes through the stable softmax, since it is large when B + C is small;
+    each output entry is floored at 1e-300 against exp underflow, and the
+    floored vector is renormalized without being validated again.
     """
-    denom = p.B + p.C
-    exponent = (-p.A * p.g - p.B + p.C * np.log(p.anchor.values)) / denom
-    out = softmax(exponent).values
-    out = np.maximum(out, PROX_FLOOR)
-    return new_simplex(out)
+    if not (B >= 0.0 and C >= 0.0 and B + C > 0.0):
+        raise ValidationError(f"need B >= 0, C >= 0, B + C > 0; got B={B}, C={C}")
+    g = np.asarray(g, dtype=float)
+    a = as_values(anchor)
+    if g.shape != a.shape:
+        raise ValidationError(f"g has shape {g.shape}, anchor {a.shape}")
+    if np.any(a <= 0.0):
+        raise AnchorHasZero("prox anchor must be strictly positive")
+    exponent = (-A * g - B + C * np.log(a)) / (B + C)
+    out = np.maximum(softmax(exponent).values, PROX_FLOOR)
+    return SimplexVector(_freeze(out / out.sum()))

@@ -66,16 +66,16 @@ class NoiseStream:
 
     def laplace(self, scale: float, size=None):
         """Centered Laplace draws by inverse CDF; scale 0 gives exact zeros."""
-        if scale < 0.0:
-            raise ValidationError(f"laplace scale must be >= 0, got {scale}")
+        if not (0.0 <= scale < math.inf):
+            raise ValidationError(f"laplace scale must be finite and >= 0, got {scale}")
         u = self._next().random(size)
         p = u - 0.5
         mag = np.log(np.maximum(1.0 - 2.0 * np.abs(p), _LOG_FLOOR))
         return -scale * np.sign(p) * mag
 
     def gaussian(self, sigma: float, size=None):
-        if sigma < 0.0:
-            raise ValidationError(f"gaussian scale must be >= 0, got {sigma}")
+        if not (0.0 <= sigma < math.inf):
+            raise ValidationError(f"gaussian scale must be finite and >= 0, got {sigma}")
         return self._next().standard_normal(size) * sigma
 
     def integers(self, n: int, size=None):
@@ -121,8 +121,8 @@ class FWSchedule:
             raise DegenerateSchedule(f"need T >= 1, got {self.T}")
         if not (0.0 < self.gamma <= 1.0):
             raise DegenerateSchedule(f"need 0 < gamma <= 1, got {self.gamma}")
-        if self.lam < 0.0:
-            raise DegenerateSchedule(f"need lam >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < math.inf):
+            raise DegenerateSchedule(f"need finite lam >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class AMSchedule:
     def __post_init__(self):
         if self.T < 1:
             raise DegenerateSchedule(f"need T >= 1, got {self.T}")
-        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise DegenerateSchedule(f"need sigma >= 0, got {self.sigma}")
+        if not (0.0 <= self.sigma < math.inf):
+            raise DegenerateSchedule(f"need finite sigma >= 0, got {self.sigma}")
         if not (self.eta_offset > 0.0):
             raise DegenerateSchedule(f"need eta_offset > 0, got {self.eta_offset}")
 

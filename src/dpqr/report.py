@@ -4,11 +4,14 @@ A record is a dataclass whose JSON keys are its field names.  Writing copies
 each field; reading coerces each value to its field's annotated type, takes
 the field default when a key is absent, and raises ValidationError when a
 required key is absent, holds a null that its type does not allow, or holds
-a value of the wrong kind (a list for a number, a number for a list).
+a value of the wrong kind (a list for a number, a number for a list or a
+string, a string or a bool for a number, a fractional number for an
+integer).
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 import types
 import typing
@@ -32,6 +35,10 @@ def to_record(obj, drop=()) -> dict:
     return out
 
 
+# the JSON values each field type accepts
+_JSON_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str, dict: dict}
+
+
 def _coerce(tp, value):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # "X | None"
@@ -46,6 +53,9 @@ def _coerce(tp, value):
             value = [value]
         items = [_coerce(args[0], v) for v in value]
         return items if origin is list else tuple(items)
+    if tp in _JSON_KINDS:  # JSON true/false fills a bool field and no other
+        if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_KINDS[tp]):
+            raise ValidationError(f"expected {tp.__name__}, got {value!r}")
     return tp(value)
 
 
@@ -141,5 +151,10 @@ class RunReport:
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         report = from_record(cls, d)
-        new_simplex(report.p_priv)  # a report must carry a valid distribution
+        # a report must carry a valid distribution over its own universe
+        if len(report.p_priv) != report.k:
+            raise ValidationError(
+                f"RunReport has k={report.k} but {len(report.p_priv)} p_priv values"
+            )
+        new_simplex(report.p_priv)
         return report

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QueryWorkload, SimplexVector, as_alpha, as_values, new_simplex
-from .entropy import ProxProblem
 from .errors import GridTooLarge, NonConvergence, ValidationError
 
 _GRID_CAP = 10_000_000
@@ -70,17 +69,17 @@ def simplex_grid(spec: GridSpec) -> np.ndarray:
     return parts.astype(float) / n
 
 
-def _prox_objective(d: np.ndarray, p: ProxProblem, log_anchor: np.ndarray) -> float:
+def _prox_objective(d: np.ndarray, g, log_anchor, A, B, C) -> float:
     pos = d > 0.0
     dp = d[pos]
     ent = float(np.sum(dp * np.log(dp)))
     kl = ent - float(np.sum(dp * log_anchor[pos]))
-    return float(p.A * (p.g @ d)) + p.B * ent + p.C * kl
+    return float(A * (g @ d)) + B * ent + C * kl
 
 
-def _prox_gradient(d: np.ndarray, p: ProxProblem, log_anchor: np.ndarray) -> np.ndarray:
+def _prox_gradient(d: np.ndarray, g, log_anchor, A, B, C) -> np.ndarray:
     logs = np.log(np.maximum(d, _GRAD_FLOOR))
-    return p.A * p.g + p.B * (1.0 + logs) + p.C * (1.0 + logs - log_anchor)
+    return A * g + B * (1.0 + logs) + C * (1.0 + logs - log_anchor)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -94,27 +93,30 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def brute_force_prox(p: ProxProblem, iters: int = 50_000) -> SimplexVector:
+def brute_force_prox(g, anchor, A: float, B: float, C: float, iters: int = 50_000) -> SimplexVector:
     """Numerically minimize A <g, d> + B H(d) + C KL(d, anchor) on the simplex.
 
+    Takes the arguments of ``entropy.composite_prox`` and assumes they pass
+    its checks (B + C > 0, a strictly positive anchor of g's shape).
     Projected gradient descent with Armijo backtracking from the uniform
     start, stopping once the objective stagnates below 1e-12 for several
     consecutive accepted steps.  The Euclidean geometry keeps this oracle
     independent of the entropic closed form it is used to validate.
     """
-    k = p.anchor.k
-    log_anchor = np.log(p.anchor.values)
+    g = np.asarray(g, dtype=float)
+    coefs = (g, np.log(as_values(anchor)), A, B, C)
+    k = g.shape[0]
     d = np.full(k, 1.0 / k)
-    f = _prox_objective(d, p, log_anchor)
+    f = _prox_objective(d, *coefs)
     best_d, best_f = d, f
     step = 1.0
     stall = 0
     for _ in range(iters):
-        grad = _prox_gradient(d, p, log_anchor)
+        grad = _prox_gradient(d, *coefs)
         accepted = False
         while step > 1e-18:
             cand = project_simplex(d - step * grad)
-            f_cand = _prox_objective(cand, p, log_anchor)
+            f_cand = _prox_objective(cand, *coefs)
             if f_cand <= f + 1e-4 * float(grad @ (cand - d)):
                 accepted = True
                 break

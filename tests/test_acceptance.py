@@ -28,7 +28,7 @@ from dpqr.core import (
 )
 from dpqr.dpam import run_dpam
 from dpqr.dpfw import dual_to_primal, run_dpfw
-from dpqr.entropy import ProxProblem, composite_prox
+from dpqr.entropy import composite_prox
 from dpqr.mechanisms import (
     AMSchedule,
     FWSchedule,
@@ -72,7 +72,7 @@ def test_criterion_01_prox_closed_form():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
-        prob = ProxProblem(
+        prob = dict(
             A=float(rng.uniform(-5, 5)),
             B=float(rng.uniform(1e-6, 5)),
             C=float(rng.uniform(0, 5)),
@@ -80,7 +80,7 @@ def test_criterion_01_prox_closed_form():
             anchor=new_simplex(rng.dirichlet(np.ones(3))),
         )
         gap = float(
-            np.abs(composite_prox(prob).values - brute_force_prox(prob).values).max()
+            np.abs(composite_prox(**prob).values - brute_force_prox(**prob).values).max()
         )
         worst = max(worst, gap)
     elapsed = time.time() - t0

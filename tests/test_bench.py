@@ -205,10 +205,11 @@ class TestRunExperiment:
             ({"eps_grid": (math.nan,)}, ValidationError),
             ({"workers": 0}, ValidationError),
             ({"workers": -3}, ValidationError),
+            ({"seed": -1}, ValidationError),
         ],
         ids=[
             "delta-2", "delta-0", "delta-1", "alpha-negative", "alpha-0", "alpha-inf",
-            "eps-inf", "eps-nan", "workers-0", "workers-negative",
+            "eps-inf", "eps-nan", "workers-0", "workers-negative", "seed-negative",
         ],
     )
     def test_invalid_plan_rejected_when_built(self, overrides, error):
@@ -217,6 +218,33 @@ class TestRunExperiment:
             tiny_plan(**overrides)
         with pytest.raises(error):
             ExperimentPlan.from_dict({**tiny_plan().to_dict(), **overrides})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dpfw_inf_diameter", "false"),
+            ("dpfw_inf_diameter", 0),
+            ("k", 16.7),
+            ("k", True),
+            ("repetitions", True),
+            ("delta", True),
+            ("delta", "1e-6"),
+            ("n_grid", [256, 512.5]),
+            ("dist_kind", 5),
+        ],
+    )
+    def test_wrong_kind_of_value(self, key, value):
+        # "false" used to load as True, 16.7 as 16 and true as 1
+        d = json.loads(json.dumps(tiny_plan().to_dict()))
+        d[key] = value
+        with pytest.raises(ValidationError, match=f"ExperimentPlan field '{key}': expected"):
+            ExperimentPlan.from_dict(d)
+
+    def test_plan_integer_valued_float_fields(self):
+        # a float field takes a JSON integer
+        d = json.loads(json.dumps(tiny_plan().to_dict()))
+        d["eps_grid"] = [1]
+        assert ExperimentPlan.from_dict(d) == tiny_plan()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_1_rejected(self, workers):

@@ -297,8 +297,11 @@ class TestSubcommands:
             ("alpha", -0.5, "alpha must be a finite nonnegative real"),
             ("alpha", 0.0, "alpha must be strictly positive"),
             ("workers", 0, "need workers >= 1, got 0"),
+            ("seed", -1, "need seed >= 0, got -1"),
+            ("k", 16.7, "ExperimentPlan field 'k': expected int, got 16.7"),
         ],
-        ids=["delta-2", "delta-0", "alpha-negative", "alpha-0", "workers-0"],
+        ids=["delta-2", "delta-0", "alpha-negative", "alpha-0", "workers-0", "seed-negative",
+             "k-fractional"],
     )
     def test_bench_invalid_plan_exit_2(self, tmp_path, capsys, field, value, message):
         ppath = tmp_path / "plan.json"
@@ -363,6 +366,23 @@ class TestSubcommands:
         assert f"{path}: expected a JSON object at the top level" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sample_from_report_with_wrong_k_exit_2(self, toy_files, capsys):
+        # such a report used to write a dataset over the p_priv universe
+        tmp_path, wpath, dpath, _ = toy_files
+        rpath = tmp_path / "r.json"
+        assert main(
+            ["run", "--algo", "dpam", "--data", str(dpath), "--workload", str(wpath),
+             "--eps", "2.0", "--delta", "1e-6", "--seed", "4", "--out", str(rpath)]
+        ) == 0
+        d = json.loads(rpath.read_text())
+        d["k"] = 8
+        rpath.write_text(json.dumps(d))
+        out = tmp_path / "s.txt"
+        assert main(["sample", "--report", str(rpath), "--count", "10", "--seed", "6",
+                     "--out", str(out)]) == 2
+        assert "RunReport has k=8 but 2 p_priv values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_from_report_with_null_field_exit_2(self, toy_files, capsys):
         tmp_path, wpath, dpath, _ = toy_files
         rpath = tmp_path / "r.json"
@@ -421,11 +441,23 @@ class TestReportRoundTrip:
                 RunReport.from_dict(d)
 
     def test_wrong_kind_of_value(self, toy_files):
-        for key, value in (("k", [2]), ("warnings", 5), ("alpha", {"x": 1})):
+        for key, value in (
+            ("k", [2]), ("warnings", 5), ("alpha", {"x": 1}),
+            # values of the wrong JSON kind used to be cast: "false" to True,
+            # 2.7 to 2, true to 1, 7 to "7", a list of pairs to a dict
+            ("no_noise", "false"), ("no_noise", 0), ("k", 2.7), ("k", True), ("k", "2"),
+            ("epsilon", True), ("epsilon", "1.0"), ("algorithm", 7), ("schedule", [["T", 3]]),
+        ):
             d = self._written_report(toy_files)
             d[key] = value
             with pytest.raises(ValidationError, match=f"RunReport field '{key}': "):
                 RunReport.from_dict(d)
+
+    def test_k_must_match_p_priv(self, toy_files):
+        d = self._written_report(toy_files)
+        d["k"] = 8
+        with pytest.raises(ValidationError, match="k=8 but 2 p_priv values"):
+            RunReport.from_dict(d)
 
     def test_null_in_optional_field(self, toy_files):
         d = self._written_report(toy_files)

@@ -15,7 +15,7 @@ from dpqr.core import (
     uniform,
 )
 from dpqr.dpam import optimal_alpha, regime_ok, release_dpam, run_dpam
-from dpqr.entropy import ProxProblem, composite_prox, softmax
+from dpqr.entropy import composite_prox, softmax
 from dpqr.errors import InvalidAlpha, InvalidParams
 from dpqr.mechanisms import AMSchedule, NoiseStream
 from dpqr.objective import max_query_error, smoothed_gradient_oracle
@@ -65,11 +65,7 @@ class TestRunDpam:
             mid = (eta_cum / denom) * aggregate + (eta_t / denom) * current.values
             assert mid.min() >= 0 and mid.sum() == pytest.approx(1.0, abs=1e-9)
             g = -SWAP.queries[rows[t - 1]]
-            nxt = composite_prox(
-                ProxProblem(
-                    A=eta_t, B=eta_t * alpha, C=eta_cum * alpha, g=g, anchor=current
-                )
-            )
+            nxt = composite_prox(g, current, eta_t, eta_t * alpha, eta_cum * alpha)
             assert nxt.values.min() > 0
             aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt.values
             current = nxt
@@ -100,7 +96,7 @@ class TestRunDpam:
             g = rng.uniform(-1, 1, size=k)
             eta_t = float(rng.uniform(1, 50))
             cum = float(rng.uniform(1, 200))
-            prox = composite_prox(ProxProblem(A=eta_t, B=0.0, C=cum, g=g, anchor=anchor))
+            prox = composite_prox(g, anchor, A=eta_t, B=0.0, C=cum)
             mirror = softmax(np.log(anchor.values) - (eta_t / cum) * g)
             assert np.abs(prox.values - mirror.values).max() < 1e-12
 
@@ -117,9 +113,9 @@ class TestRunDpam:
         for t in range(1, 9):
             eta_t = t + 10.0
             g, _ = smoothed_gradient_oracle(anchor, emp, w3, 0.2, stream)
-            prob = ProxProblem(A=eta_t, B=eta_t * alpha, C=eta_cum * alpha, g=g, anchor=anchor)
-            closed = composite_prox(prob)
-            brute = brute_force_prox(prob)
+            prob = dict(A=eta_t, B=eta_t * alpha, C=eta_cum * alpha, g=g, anchor=anchor)
+            closed = composite_prox(**prob)
+            brute = brute_force_prox(**prob)
             assert np.abs(closed.values - brute.values).max() < 1e-6
             anchor = closed
             eta_cum += eta_t

@@ -5,7 +5,6 @@ import pytest
 
 from dpqr.core import new_simplex, uniform
 from dpqr.entropy import (
-    ProxProblem,
     composite_prox,
     kl_divergence,
     log_sum_exp,
@@ -117,10 +116,10 @@ class TestKL:
 
 class TestCompositeProx:
     def test_pure_entropy_gives_uniform(self):
-        p = ProxProblem(A=1.0, B=1.0, C=0.0, g=np.zeros(3), anchor=uniform(3))
-        assert np.allclose(composite_prox(p).values, 1 / 3, atol=1e-12)
-        p = ProxProblem(A=0.0, B=2.5, C=0.0, g=np.ones(4), anchor=uniform(4))
-        assert np.allclose(composite_prox(p).values, 0.25, atol=1e-12)
+        p = dict(A=1.0, B=1.0, C=0.0, g=np.zeros(3), anchor=uniform(3))
+        assert np.allclose(composite_prox(**p).values, 1 / 3, atol=1e-12)
+        p = dict(A=0.0, B=2.5, C=0.0, g=np.ones(4), anchor=uniform(4))
+        assert np.allclose(composite_prox(**p).values, 0.25, atol=1e-12)
 
     def test_c_zero_matches_softmax(self):
         rng = np.random.default_rng(5)
@@ -129,19 +128,28 @@ class TestCompositeProx:
             a_coef = float(rng.uniform(-4, 4))
             b_coef = float(rng.uniform(0.1, 4))
             g = rng.uniform(-1, 1, size=k)
-            p = ProxProblem(A=a_coef, B=b_coef, C=0.0, g=g, anchor=uniform(k))
+            p = dict(A=a_coef, B=b_coef, C=0.0, g=g, anchor=uniform(k))
             direct = softmax(-(a_coef / b_coef) * g - 1.0).values
-            assert np.abs(composite_prox(p).values - direct).max() < 1e-12
+            assert np.abs(composite_prox(**p).values - direct).max() < 1e-12
 
     def test_strictly_positive(self):
-        p = ProxProblem(
+        p = dict(
             A=50.0, B=0.01, C=0.0, g=np.array([1.0, -1.0, 0.0]), anchor=uniform(3)
         )
-        out = composite_prox(p).values
+        out = composite_prox(**p).values
         assert np.all(out > 0.0)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValidationError):
-            ProxProblem(A=1.0, B=0.0, C=0.0, g=np.zeros(2), anchor=uniform(2))
+            composite_prox(A=1.0, B=0.0, C=0.0, g=np.zeros(2), anchor=uniform(2))
         with pytest.raises(AnchorHasZero):
-            ProxProblem(A=1.0, B=1.0, C=1.0, g=np.zeros(2), anchor=new_simplex([1.0, 0.0]))
+            composite_prox(A=1.0, B=1.0, C=1.0, g=np.zeros(2), anchor=new_simplex([1.0, 0.0]))
+
+    def test_negative_entropy_weight_rejected(self):
+        # B + C > 0 is not enough: each weight must be nonnegative
+        with pytest.raises(ValidationError):
+            composite_prox(A=1.0, B=-0.5, C=1.0, g=np.zeros(2), anchor=uniform(2))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            composite_prox(A=1.0, B=1.0, C=1.0, g=np.zeros(3), anchor=uniform(2))

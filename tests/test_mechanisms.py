@@ -10,8 +10,11 @@ from dpqr.errors import (
     InvalidAlpha,
     InvalidOrder,
     InvalidParams,
+    ValidationError,
 )
 from dpqr.mechanisms import (
+    AMSchedule,
+    FWSchedule,
     NoiseStream,
     advanced_composition,
     dpam_schedule,
@@ -75,6 +78,12 @@ class TestLaplace:
     def test_deterministic(self):
         assert NoiseStream(3, "a").laplace(2.0) == NoiseStream(3, "a").laplace(2.0)
 
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+    def test_bad_scale_rejected(self, scale):
+        # a NaN scale would make every noisy score NaN and argmax pick row 0
+        with pytest.raises(ValidationError):
+            NoiseStream(3, "a").laplace(scale, size=4)
+
 
 class TestGaussian:
     def test_variance(self):
@@ -93,6 +102,11 @@ class TestGaussian:
         a = NoiseStream(4, "g").gaussian(0.3, size=8)
         b = NoiseStream(4, "g").gaussian(0.3, size=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValidationError):
+            NoiseStream(4, "g").gaussian(scale, size=8)
 
 
 class TestReportNoisyMax:
@@ -157,6 +171,11 @@ class TestSchedules:
         with pytest.raises(DegenerateSchedule):
             dpfw_schedule(BUDGET, 0.1, 0.0, 2.0, 10, 1000)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_fw_noise_scale_must_be_finite(self, lam):
+        with pytest.raises(DegenerateSchedule):
+            FWSchedule(T=20, gamma=0.3, lam=lam)
+
     def test_fw_cap(self):
         s = dpfw_schedule(BUDGET, 0.1, 2.0, 2.0, 10, 10**9, max_t=1000)
         assert s.T == 1000 and s.capped
@@ -176,6 +195,11 @@ class TestSchedules:
     def test_am_cap_flag(self):
         s = dpam_schedule(BUDGET, 0.5, width=0.01, k=8, n=10**9, max_t=5000)
         assert s.T == 5000 and s.capped
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_am_noise_scale_must_be_finite(self, sigma):
+        with pytest.raises(DegenerateSchedule):
+            AMSchedule(T=20, sigma=sigma, eta_offset=1.0)
 
     def test_am_invalid(self):
         with pytest.raises(InvalidParams):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpqr.core import new_simplex, new_workload, symmetrize, uniform
-from dpqr.entropy import ProxProblem, composite_prox
+from dpqr.entropy import composite_prox
 from dpqr.errors import GridTooLarge, ValidationError
 from dpqr.objective import regularized_dual
 from dpqr.testkit import (
@@ -66,25 +66,25 @@ class TestProjectSimplex:
 
 class TestBruteForceProx:
     def test_entropy_only_gives_uniform(self):
-        p = ProxProblem(A=1.0, B=1.0, C=0.0, g=np.zeros(3), anchor=uniform(3))
-        assert np.abs(brute_force_prox(p).values - 1 / 3).max() < 1e-8
+        p = dict(A=1.0, B=1.0, C=0.0, g=np.zeros(3), anchor=uniform(3))
+        assert np.abs(brute_force_prox(**p).values - 1 / 3).max() < 1e-8
 
     def test_huge_divergence_pins_anchor(self):
         anchor = new_simplex([0.2, 0.5, 0.3])
-        p = ProxProblem(A=1.0, B=0.5, C=1e6, g=np.array([1.0, -1.0, 0.5]), anchor=anchor)
-        assert np.abs(brute_force_prox(p).values - anchor.values).max() < 1e-3
+        p = dict(A=1.0, B=0.5, C=1e6, g=np.array([1.0, -1.0, 0.5]), anchor=anchor)
+        assert np.abs(brute_force_prox(**p).values - anchor.values).max() < 1e-3
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            p = ProxProblem(
+            p = dict(
                 A=float(rng.uniform(-5, 5)),
                 B=float(rng.uniform(0.05, 5)),
                 C=float(rng.uniform(0, 5)),
                 g=rng.uniform(-1, 1, size=3),
                 anchor=new_simplex(rng.dirichlet(np.ones(3))),
             )
-            assert np.abs(brute_force_prox(p).values - composite_prox(p).values).max() < 1e-6
+            assert np.abs(brute_force_prox(**p).values - composite_prox(**p).values).max() < 1e-6
 
 
 class TestPrimalGrid:
