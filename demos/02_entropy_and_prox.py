@@ -1,5 +1,6 @@
 # The entropic machinery both solvers stand on: negative entropy, its
-# conjugate, KL divergence, and the closed-form composite prox.
+# conjugate, KL divergence, and the closed-form composite prox, checked
+# against its first-order optimality condition.
 import numpy as np
 
 from dpqr.core import new_simplex, uniform
@@ -11,7 +12,6 @@ from dpqr.entropy import (
     neg_entropy,
     softmax,
 )
-from dpqr.testkit import brute_force_prox
 
 print("negative entropy is largest (0) at point masses, smallest at uniform:")
 for d in ([1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]):
@@ -31,16 +31,17 @@ print(f"  KL(d, a) = {kl_divergence(d, a):.6f}  (>= 0, zero iff equal)")
 
 # one mirror-descent step solves
 #   min_d  A <g, d> + B H(d) + C KL(d, anchor)
-# in closed form; a projected-gradient oracle confirms it numerically
+# in closed form.  At an interior minimizer the gradient of the objective,
+#   A g + (B + C) log(d) - C log(anchor)  (plus the constant B + C),
+# is the same in every coordinate: the Lagrange condition for sum(d) = 1
 rng = np.random.default_rng(1)
-prob = dict(
-    A=3.0, B=0.8, C=2.5, g=rng.uniform(-1, 1, 3), anchor=new_simplex([0.5, 0.25, 0.25])
-)
-closed = composite_prox(**prob).values
-brute = brute_force_prox(**prob).values
-print("\ncomposite prox, closed form:  ", closed.round(8))
-print("projected-gradient minimizer: ", brute.round(8))
-print(f"agreement (Linf): {np.abs(closed - brute).max():.2e}")
+A, B, C = 3.0, 0.8, 2.5
+g = rng.uniform(-1, 1, 3)
+anchor = new_simplex([0.5, 0.25, 0.25])
+closed = composite_prox(g, anchor, A, B, C).values
+stationary = A * g + (B + C) * np.log(closed) - C * np.log(anchor.values)
+print("\ncomposite prox, closed form:", closed.round(8))
+print(f"optimality condition, spread across coordinates: {np.ptp(stationary):.1e}")
 
 # the same map sends a dual point to the released distribution
 q = rng.uniform(-1, 1, 4)

@@ -6,7 +6,7 @@ private Frank-Wolfe on the entropy-regularized dual and maps the result back
 through the conjugate gradient, and DPAM runs private accelerated mirror
 descent on the Gaussian-smoothed primal.  Supporting modules provide simplex
 and workload types, seeded noise and privacy accounting, the saddle
-objectives, brute-force validation oracles, and an experiment harness.
+objectives, an experiment harness, and the command line.
 
 The top-level namespace holds what a synthetic release or an error-scaling
 experiment needs; everything else is imported from its submodule

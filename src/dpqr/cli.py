@@ -3,13 +3,15 @@
 Formats are deliberately plain so files diff cleanly and can be produced by
 other tooling:
 
-  workload      JSON {"k": int, "symmetric": bool, "queries": [[...], ...]};
-                "symmetric" is written for other readers and ignored on
-                read, where the rows decide
+  workload      JSON {"k": int, "queries": [[...], ...]}
   distribution  JSON {"k": int, "values": [...]}
   dataset       text, header line "k=<int>", then one index per line
   report        JSON (one run; see dpqr.report.RunReport)
   plan/result   JSON (see dpqr.bench)
+
+In workload and distribution files "k" must be a JSON integer and every
+value a JSON number (never a bool or a string); other keys are ignored on
+read, so older workload files with a "symmetric" key still load.
 
 JSON is written with sorted keys and shortest round-trip floats, so every
 seeded subcommand reproduces its output byte for byte.  Wall-clock timings
@@ -62,17 +64,14 @@ def _read_json(path: str) -> dict:
 
 
 def _int_field(d: dict, key: str, path: str) -> int:
-    try:
-        return int(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: field {key!r} is not an integer: {d[key]!r}") from exc
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: field {key!r} is not an integer: {value!r}")
+    return value
 
 
 def save_workload(w: QueryWorkload, path: str):
-    _write_json(
-        {"k": w.k, "symmetric": w.symmetric, "queries": [list(map(float, row)) for row in w.queries]},
-        path,
-    )
+    _write_json({"k": w.k, "queries": [list(map(float, row)) for row in w.queries]}, path)
 
 
 def load_workload(path: str) -> QueryWorkload:
@@ -164,7 +163,13 @@ def load_distribution(path: str) -> SimplexVector:
     d = _read_json(path)
     if "values" not in d:
         raise ParseError(f"{path}: distribution file missing field 'values'")
-    p = new_simplex(np.asarray(d["values"], dtype=float))
+    values = d["values"]
+    if not isinstance(values, list):
+        raise ParseError(f"{path}: distribution values must be a list of numbers")
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError(f"{path}: distribution value {x!r} at index {i} is not a number")
+    p = new_simplex(np.asarray(values, dtype=float))
     if "k" in d and _int_field(d, "k", path) != p.k:
         raise ParseError(f"{path}: header k={d['k']} but {p.k} values present")
     return p

@@ -45,14 +45,6 @@ class DegenerateSchedule(ValueError):
     """A calibration formula produced a non-finite or non-positive value."""
 
 
-class GridTooLarge(ValidationError):
-    """A simplex grid would exceed the enumeration cap."""
-
-
-class NonConvergence(RuntimeError):
-    """An iterative oracle exhausted its iteration budget."""
-
-
 class ParseError(ValidationError):
     """A file failed strict validation; message carries the location."""
 

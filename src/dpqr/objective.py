@@ -8,10 +8,12 @@ regularization gives the strongly convex primal and its smooth concave dual
     primal_alpha(d) = max_q <q, ref - d> + alpha H(d)
     dual_alpha(q)   = <q, ref> - alpha logsumexp(q / alpha)
 
-which share their optimal value.  Gaussian convolution smooths the primal:
-phi_sigma(d) = E[phi(d + xi)] with xi ~ N(0, sigma^2 I) stays uniformly
-within sigma * width(Q) of phi, and the row maximizing <q, ref - d + xi> is
-(after a sign flip) an unbiased stochastic gradient of phi_sigma.
+which share their optimal value (the tests evaluate both, from
+``tests/testkit.py``; the solvers need only the dual's gradient).  Gaussian
+convolution smooths the primal: phi_sigma(d) = E[phi(d + xi)] with
+xi ~ N(0, sigma^2 I) stays uniformly within sigma * width(Q) of phi, and the
+row maximizing <q, ref - d + xi> is (after a sign flip) an unbiased
+stochastic gradient of phi_sigma.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QueryWorkload, as_alpha, as_values
-from .entropy import log_sum_exp, neg_entropy, softmax
+from .entropy import softmax
 from .errors import DimensionMismatch, ValidationError
 from .mechanisms import NoiseStream
 
@@ -67,35 +69,6 @@ def max_query_error(ref, candidate, w: QueryWorkload) -> float:
 def primal_objective(d, ref, w: QueryWorkload) -> float:
     """max over rows of <q, ref - d>; d may be any real vector (not just simplex)."""
     return max_query_error(ref, d, w)
-
-
-def regularized_primal(d, ref, w: QueryWorkload, alpha) -> float:
-    """primal_objective(d) plus alpha times the negative entropy of d."""
-    a = as_alpha(alpha)
-    return primal_objective(d, ref, w) + a * neg_entropy(d)
-
-
-def regularized_dual(q, ref, alpha) -> float:
-    """<q, ref> - alpha logsumexp(q / alpha); concave, 2-Lipschitz in q."""
-    a = as_alpha(alpha, positive=True)
-    qv = as_values(q)
-    rv = as_values(ref)
-    if qv.shape != rv.shape:
-        raise DimensionMismatch(f"shape mismatch {qv.shape} vs {rv.shape}")
-    return float(qv @ rv) - a * log_sum_exp(qv / a)
-
-
-def empirical_dual_gradient(q, emp, alpha) -> np.ndarray:
-    """Gradient of the regularized dual with the empirical reference plugged in.
-
-    Equals emp - softmax(q / alpha); its coordinates sum to zero.
-    """
-    a = as_alpha(alpha, positive=True)
-    qv = as_values(q)
-    ev = as_values(emp)
-    if qv.shape != ev.shape:
-        raise DimensionMismatch(f"shape mismatch {qv.shape} vs {ev.shape}")
-    return ev - softmax(qv / a).values
 
 
 def frank_wolfe_gap(q, ref, alpha, w: QueryWorkload) -> float:

@@ -43,17 +43,17 @@ from dpqr.mechanisms import (
 from dpqr.objective import (
     gaussian_width,
     primal_objective,
-    regularized_primal,
     smoothed_gradient_oracle,
     smoothed_primal_mc,
 )
-from dpqr.testkit import (
+from testkit import (
     GridSpec,
     brute_force_prox,
     dual_grid_bound,
     grid_max_dual,
     grid_min_primal,
     primal_grid_bound,
+    regularized_primal,
 )
 
 BUDGET = PrivacyBudget(1.0, 1e-6)

@@ -61,6 +61,11 @@ class TestFileFormats:
         assert np.array_equal(w.queries, again.queries)
         assert again.symmetric == w.symmetric
 
+    def test_saved_workload_holds_only_k_and_queries(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_workload(symmetrize(new_workload([[1.0, 0.5]])), str(path))
+        assert set(json.loads(path.read_text())) == {"k", "queries"}
+
     def test_workload_range_violation_names_cell(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"k": 2, "symmetric": False, "queries": [[0.5, 1.5]]}))
@@ -165,6 +170,27 @@ class TestSubcommands:
         assert f"{dist}: field 'k' is not an integer: None" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"k": 2.5, "values": [0.5, 0.5]}, "field 'k' is not an integer: 2.5"),
+            ({"k": True, "values": [1.0]}, "field 'k' is not an integer: True"),
+            ({"values": [True, False]}, "distribution value True at index 0 is not a number"),
+            ({"values": [0.5, "0.5"]}, "distribution value '0.5' at index 1 is not a number"),
+            ({"values": {"0": 1.0}}, "distribution values must be a list of numbers"),
+        ],
+        ids=["k-fractional", "k-bool", "value-bool", "value-string", "values-object"],
+    )
+    def test_gen_data_distribution_of_wrong_kind_exit_2(self, tmp_path, capsys, content, message):
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps(content))
+        out = tmp_path / "x.txt"
+        assert main(
+            ["gen-data", "--dist", str(dist), "--n", "5", "--seed", "1", "--out", str(out)]
+        ) == 2
+        assert f"{dist}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_auto_alpha_and_reproducibility(self, toy_files, capsys):
         tmp_path, wpath, dpath, tpath = toy_files
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -214,8 +240,10 @@ class TestSubcommands:
             ({"k": 2, "queries": 5}, "workload queries must be a list of rows"),
             ({"k": 2, "queries": [5]}, "row 0 is not a list"),
             ({"k": None, "queries": [[1.0, 0.0]]}, "field 'k' is not an integer: None"),
+            ({"k": 2.9, "queries": [[1.0, 0.0]]}, "field 'k' is not an integer: 2.9"),
+            ({"k": True, "queries": [[1.0]]}, "field 'k' is not an integer: True"),
         ],
-        ids=["top-level", "queries", "row", "k"],
+        ids=["top-level", "queries", "row", "k", "k-fractional", "k-bool"],
     )
     def test_run_workload_of_wrong_shape_exit_2(self, toy_files, capsys, content, message):
         tmp_path, _, dpath, _ = toy_files

@@ -19,7 +19,7 @@ from dpqr.entropy import composite_prox, softmax
 from dpqr.errors import InvalidAlpha, InvalidParams
 from dpqr.mechanisms import AMSchedule, NoiseStream
 from dpqr.objective import max_query_error, smoothed_gradient_oracle
-from dpqr.testkit import brute_force_prox
+from testkit import brute_force_prox
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 SWAP = symmetrize(new_workload([[1.0, -1.0]]))
@@ -73,8 +73,7 @@ class TestRunDpam:
         assert np.abs(aggregate - priv.values).max() < 1e-12
 
     def test_zero_noise_converges_to_grid_optimum(self):
-        from dpqr.objective import regularized_primal
-        from dpqr.testkit import GridSpec, grid_min_primal
+        from testkit import GridSpec, grid_min_primal, regularized_primal
 
         alpha = 0.5
         sched = small_schedule(t=2000, sigma=1e-3, alpha=alpha)

@@ -17,7 +17,7 @@ from dpqr.entropy import log_sum_exp, neg_entropy
 from dpqr.errors import InvalidAlpha, InvalidParams
 from dpqr.mechanisms import FWSchedule, NoiseStream
 from dpqr.objective import max_query_error
-from dpqr.testkit import GridSpec, grid_min_primal
+from testkit import GridSpec, grid_min_primal
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 SWAP = symmetrize(new_workload([[1.0, -1.0]]))

@@ -12,7 +12,7 @@ from dpqr.entropy import (
     softmax,
 )
 from dpqr.errors import AnchorHasZero, ValidationError
-from dpqr.testkit import GridSpec, simplex_grid
+from testkit import GridSpec, simplex_grid
 
 # sum of x log x over (0.25, 0.75), summed at 40 decimal digits
 NEG_ENTROPY_QUARTER = -0.5623351446188083

@@ -1,7 +1,8 @@
 """The top-level ``dpqr`` namespace and what imports from it.
 
 ``dpqr/__init__.py`` exports only the names a release and an experiment
-need; the demos import everything else from its submodule.
+need; the demos import everything else from its submodule.  Every module
+of the package is loaded by ``import dpqr`` or by ``dpqr.cli``.
 """
 
 import ast
@@ -30,6 +31,23 @@ def test_cli_module_runs_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert "gen-workload" in proc.stdout
+
+
+def test_package_holds_no_unreached_module():
+    # a release and the command line between them load every module file;
+    # test-only helpers live under tests/
+    code = "import sys, dpqr, dpqr.cli; print(*[m for m in sys.modules if m.startswith('dpqr')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    files = {
+        "dpqr" if p.stem == "__init__" else f"dpqr.{p.stem}"
+        for p in (Path(SRC) / "dpqr").glob("*.py")
+    }
+    assert files - loaded == set()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

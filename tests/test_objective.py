@@ -8,16 +8,14 @@ from dpqr.entropy import softmax
 from dpqr.errors import DimensionMismatch
 from dpqr.mechanisms import NoiseStream
 from dpqr.objective import (
-    empirical_dual_gradient,
     frank_wolfe_gap,
     gaussian_width,
     max_query_error,
     primal_objective,
-    regularized_dual,
-    regularized_primal,
     smoothed_gradient_oracle,
     smoothed_primal_mc,
 )
+from testkit import empirical_dual_gradient, regularized_dual, regularized_primal
 
 SWAP = symmetrize(new_workload([[1.0, -1.0]]))  # rows (1,-1) and (-1,1)
 

@@ -5,16 +5,17 @@ import pytest
 
 from dpqr.core import new_simplex, new_workload, symmetrize, uniform
 from dpqr.entropy import composite_prox
-from dpqr.errors import GridTooLarge, ValidationError
-from dpqr.objective import regularized_dual
-from dpqr.testkit import (
+from dpqr.errors import ValidationError
+from testkit import (
     GridSpec,
+    GridTooLarge,
     brute_force_prox,
     dual_grid_bound,
     grid_max_dual,
     grid_min_primal,
     primal_grid_bound,
     project_simplex,
+    regularized_dual,
     simplex_grid,
 )
 

@@ -1,9 +1,11 @@
-"""Independent brute-force oracles for validating the analytic machinery.
+"""Independent brute-force oracles and reference objectives for the tests.
 
-Nothing on a solver path imports this module; it exists so tests can check
+Nothing in ``dpqr`` imports this module; it exists so tests can check
 closed forms against slow, geometrically different computations: a projected
 gradient method with Euclidean simplex projection for the composite prox,
-and exhaustive simplex grids for the primal/dual optima at desk scale.
+and exhaustive simplex grids for the primal/dual optima at desk scale.  It
+also holds the entropy-regularized primal and dual objectives, and the
+gradient of the dual, which those checks evaluate and no release computes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryWorkload, SimplexVector, as_alpha, as_values, new_simplex
-from .errors import GridTooLarge, NonConvergence, ValidationError
+from dpqr.core import QueryWorkload, SimplexVector, as_alpha, as_values, new_simplex
+from dpqr.entropy import log_sum_exp, neg_entropy, softmax
+from dpqr.errors import DimensionMismatch, ValidationError
+from dpqr.objective import primal_objective
+
+
+class GridTooLarge(ValidationError):
+    """A simplex grid would exceed the enumeration cap."""
+
+
+class NonConvergence(RuntimeError):
+    """An iterative oracle exhausted its iteration budget."""
+
 
 _GRID_CAP = 10_000_000
 _EVAL_CHUNK = 1 << 16
@@ -204,3 +217,32 @@ def grid_max_dual(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[np.ndar
             best_val = float(vals[i])
             best_idx = lo + i
     return weights[best_idx], best_val
+
+
+def regularized_primal(d, ref, w: QueryWorkload, alpha) -> float:
+    """primal_objective(d) plus alpha times the negative entropy of d."""
+    a = as_alpha(alpha)
+    return primal_objective(d, ref, w) + a * neg_entropy(d)
+
+
+def regularized_dual(q, ref, alpha) -> float:
+    """<q, ref> - alpha logsumexp(q / alpha); concave, 2-Lipschitz in q."""
+    a = as_alpha(alpha, positive=True)
+    qv = as_values(q)
+    rv = as_values(ref)
+    if qv.shape != rv.shape:
+        raise DimensionMismatch(f"shape mismatch {qv.shape} vs {rv.shape}")
+    return float(qv @ rv) - a * log_sum_exp(qv / a)
+
+
+def empirical_dual_gradient(q, emp, alpha) -> np.ndarray:
+    """Gradient of the regularized dual with the empirical reference plugged in.
+
+    Equals emp - softmax(q / alpha); its coordinates sum to zero.
+    """
+    a = as_alpha(alpha, positive=True)
+    qv = as_values(q)
+    ev = as_values(emp)
+    if qv.shape != ev.shape:
+        raise DimensionMismatch(f"shape mismatch {qv.shape} vs {ev.shape}")
+    return ev - softmax(qv / a).values
