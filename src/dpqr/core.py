@@ -8,6 +8,7 @@ types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,10 +109,12 @@ def empirical(data: Dataset, k: int) -> SimplexVector:
     return SimplexVector(_freeze(counts / pts.size))
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """One byte key per row; adding 0.0 sends -0.0 to +0.0 so keys agree with ==."""
-    rows = np.ascontiguousarray(rows + 0.0)
-    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
+def _row_keys(rows: np.ndarray, negate: bool = False) -> Iterator[bytes]:
+    """Byte key per row (of -rows if negate), ~1 MiB of rows at a time; + 0.0 maps -0.0 to 0.0."""
+    step = max(1, (1 << 17) // max(1, rows.shape[1]))
+    for lo in range(0, rows.shape[0], step):
+        block = np.ascontiguousarray((-1.0 if negate else 1.0) * rows[lo : lo + step] + 0.0)
+        yield from block.view(f"V{block.itemsize * block.shape[1]}").ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -137,14 +140,15 @@ class QueryWorkload:
         construction would hold the keys of a large workload while the
         caller's temporaries are still alive.
         """
-        return set(_row_keys(self.queries)) == set(_row_keys(-self.queries))
+        keys = set(_row_keys(self.queries))
+        return all(key in keys for key in _row_keys(self.queries, negate=True))
 
 
 def new_workload(queries) -> QueryWorkload:
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
         raise ValidationError("expected a nonempty m x k query matrix")
-    bad = ~np.isfinite(q) | (np.abs(q) > 1.0)
+    bad = ~((q >= -1.0) & (q <= 1.0))  # also flags NaN and infinities
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(bad)), q.shape)
         raise ValidationError(
@@ -163,10 +167,11 @@ def symmetrize(w: QueryWorkload) -> QueryWorkload:
     first: dict[bytes, int] = {}
     for i, key in enumerate(_row_keys(w.queries)):
         first.setdefault(key, i)
-    rows = w.queries[list(first.values())]
-    negs = -rows + 0.0
-    missing = [i for i, key in enumerate(_row_keys(negs)) if key not in first]
-    return QueryWorkload(_freeze(np.concatenate([rows, negs[missing]])))
+    absent = [key not in first for key in _row_keys(w.queries, negate=True)]
+    keep = list(first.values())
+    out = w.queries[keep + [i for i in keep if absent[i]]]
+    np.subtract(0.0, out[len(keep) :], out=out[len(keep) :])  # = -q + 0.0, so no -0.0
+    return QueryWorkload(_freeze(out))
 
 
 def _scan_d1(q: np.ndarray) -> float:

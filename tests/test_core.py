@@ -108,6 +108,20 @@ class TestWorkload:
             again = symmetrize(w)
             assert np.array_equal(w.queries, again.queries)
 
+    def test_symmetrize_across_key_blocks(self):
+        # rows of 2^16 entries: row keys are made two rows at a time, so
+        # duplicates and negations here sit in different blocks
+        rng = np.random.default_rng(3)
+        r0, r1, r2 = np.where(rng.random((3, 1 << 16)) < 0.5, -1.0, 1.0)
+        zero, negzero = np.zeros(1 << 16), np.full(1 << 16, -0.0)
+        w = new_workload([r0, r1, -r0, r1, zero, r2, negzero])
+        assert not w.symmetric
+        out = symmetrize(w)
+        expected = np.array([r0, r1, -r0, zero, r2, -r1, -r2])
+        assert out.queries.tobytes() == expected.tobytes()
+        assert out.symmetric
+        assert QueryWorkload(np.array([r1, zero, r2, -r2, -r1])).symmetric
+
     def test_diameters_examples(self):
         assert diameters(new_workload([[1, -1], [-1, 1]])) == (4.0, 2.0)
         assert diameters(new_workload([[0.3, -0.2]])) == (0.0, 0.0)
