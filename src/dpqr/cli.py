@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -91,7 +90,8 @@ def load_workload(path: str) -> QueryWorkload:
         if len(row) != k:
             raise ParseError(f"{path}: row {i} has length {len(row)}, expected k={k}")
         for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or abs(float(x)) > 1.0:
+            # compared as parsed: float() of a huge JSON integer overflows
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or abs(x) > 1:
                 raise ParseError(
                     f"{path}: query entry {x} at row {i}, column {j} outside [-1, 1]"
                 )
@@ -155,10 +155,6 @@ def _scan_dataset(path: str) -> tuple[Dataset, int]:
     return new_dataset(points), k
 
 
-def save_distribution(p: SimplexVector, path: str):
-    _write_json({"k": p.k, "values": [float(x) for x in p.values]}, path)
-
-
 def load_distribution(path: str) -> SimplexVector:
     d = _read_json(path)
     if "values" not in d:
@@ -169,6 +165,8 @@ def load_distribution(path: str) -> SimplexVector:
     for i, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ParseError(f"{path}: distribution value {x!r} at index {i} is not a number")
+        if abs(x) > sys.float_info.max:
+            raise ParseError(f"{path}: distribution value at index {i} is too large for a float")
     p = new_simplex(np.asarray(values, dtype=float))
     if "k" in d and _int_field(d, "k", path) != p.k:
         raise ParseError(f"{path}: header k={d['k']} but {p.k} values present")
@@ -302,14 +300,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = load_plan(args.plan)
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("DPQR_WORKERS")
-        try:
-            workers = int(env) if env else None
-        except ValueError:
-            raise ValidationError(f"DPQR_WORKERS must be an integer, got {env!r}") from None
-    result = run_experiment(plan, workers=workers)
+    result = run_experiment(plan, workers=args.workers)
     write_result(result, args.out)
     print(f"bench: {len(result.cells)} cells in {result.runtimes['total_s']:.2f}s", file=sys.stderr)
     return 0

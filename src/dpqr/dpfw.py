@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,17 +29,8 @@ from .core import (
 from .entropy import softmax
 from .errors import InvalidParams
 from .mechanisms import FWSchedule, NoiseStream, dpfw_schedule, report_noisy_max
-from .objective import frank_wolfe_gap, max_query_error
+from .objective import max_query_error
 from .report import RunReport
-
-
-@dataclass(frozen=True)
-class FWTrace:
-    """Per-iteration selections of one run, the output-index draw, and optional gaps."""
-
-    row_indices: np.ndarray
-    output_index: int
-    gaps: np.ndarray | None = None
 
 
 def run_dpfw(
@@ -48,13 +39,12 @@ def run_dpfw(
     alpha,
     rng: NoiseStream,
     schedule: FWSchedule,
-    track_gap: bool = False,
-) -> tuple[np.ndarray, FWTrace]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Run the private Frank-Wolfe solver on a calibrated schedule.
 
-    Returns (dual vector, trace).  With ``track_gap`` the linearized gap of
-    every iterate against the empirical distribution is recorded; this
-    costs an extra row scan per iteration and is off by default.
+    Returns (dual vector of the output iterate, row selected at each
+    iteration, output index).  Iterate t is replayed from the selections
+    by q_0 = rows[0] and q_{t+1} = q_t + gamma (rows[picked[t]] - q_t).
     """
     a = as_alpha(alpha, positive=True)
     emp = empirical(data, workload.k).values
@@ -66,21 +56,17 @@ def run_dpfw(
 
     q = rows[0].copy()
     picked = np.empty(t_total, dtype=np.int64)
-    gaps = np.empty(t_total) if track_gap else None
 
     for t in range(t_total):
         if t == out_index:
             q_out = q.copy()
-        if track_gap:
-            gaps[t] = frank_wolfe_gap(q, emp, a, workload)
         grad = emp - softmax(q / a).values
         scores = rows @ grad
         i = report_noisy_max(scores, schedule.lam, noise)
         picked[t] = i
         q += gamma * (rows[i] - q)
 
-    trace = FWTrace(row_indices=picked, output_index=out_index, gaps=gaps)
-    return q_out, trace
+    return q_out, picked, out_index
 
 
 def dual_to_primal(q, alpha) -> SimplexVector:
@@ -119,7 +105,6 @@ def release_dpfw(
     schedule: FWSchedule | None = None,
     no_noise: bool = False,
     true_dist=None,
-    track_gap: bool = False,
     use_inf_diameter: bool = False,
 ) -> RunReport:
     """Full DPFW pipeline: calibrate, solve the dual, map to a distribution, report.
@@ -141,26 +126,16 @@ def release_dpfw(
     if no_noise:
         schedule = replace(schedule, lam=0.0)
 
-    q_out, trace = run_dpfw(data, workload, a, rng, schedule, track_gap=track_gap)
+    q_out, _, out_index = run_dpfw(data, workload, a, rng, schedule)
     solved = time.perf_counter()
     p_priv = dual_to_primal(q_out, a)
     emp = empirical(data, workload.k)
-    diagnostics = None
-    if track_gap:
-        # gap under the empirical reference (what the solver sees) and,
-        # on synthetic instances, under the true distribution as well
-        diagnostics = {
-            "mean_gap_empirical": float(trace.gaps.mean()),
-            "output_gap_empirical": frank_wolfe_gap(q_out, emp, a, workload),
-        }
-        if true_dist is not None:
-            diagnostics["output_gap_population"] = frank_wolfe_gap(q_out, true_dist, a, workload)
     return RunReport.of_release(
         algorithm="dpfw", data=data, workload=workload, budget=budget, alpha=a, rng=rng,
-        schedule=schedule, output_index=trace.output_index, p_priv=p_priv,
+        schedule=schedule, output_index=out_index, p_priv=p_priv,
         empirical_max_error=max_query_error(emp, p_priv, workload),
         population_max_error=(
             None if true_dist is None else max_query_error(true_dist, p_priv, workload)
         ),
-        started=t0, solved=solved, diagnostics=diagnostics,
+        started=t0, solved=solved,
     )

@@ -22,24 +22,6 @@ from .errors import AnchorHasZero, ValidationError
 PROX_FLOOR = 1e-300
 
 
-def neg_entropy(d) -> float:
-    """sum d(z) log d(z), with the 0 log 0 = 0 convention.  In [-log k, 0]."""
-    v = as_values(d)
-    pos = v > 0.0
-    return float(np.sum(v[pos] * np.log(v[pos])))
-
-
-def log_sum_exp(y) -> float:
-    """log sum_j exp(y_j), computed stably by max subtraction."""
-    v = np.asarray(y, dtype=float)
-    if v.size == 0:
-        raise ValidationError("log_sum_exp of an empty array")
-    top = float(v.max())
-    if not np.isfinite(top):
-        return top
-    return top + float(np.log(np.sum(np.exp(v - top))))
-
-
 def softmax(y) -> SimplexVector:
     """exp(y_j) / sum_i exp(y_i); invariant under adding a constant to y."""
     v = np.asarray(y, dtype=float)
@@ -47,18 +29,6 @@ def softmax(y) -> SimplexVector:
         raise ValidationError("softmax of an empty array")
     e = np.exp(v - v.max())
     return SimplexVector(_freeze(e / e.sum()))
-
-
-def kl_divergence(d, anchor) -> float:
-    """KL(d || anchor) = sum d(z) log(d(z)/anchor(z)); nonnegative."""
-    dv = as_values(d)
-    av = as_values(anchor)
-    if dv.shape != av.shape:
-        raise ValidationError(f"shape mismatch {dv.shape} vs {av.shape}")
-    pos = dv > 0.0
-    if np.any(av[pos] == 0.0):
-        raise AnchorHasZero("anchor has zero mass where d does not")
-    return float(np.sum(dv[pos] * (np.log(dv[pos]) - np.log(av[pos]))))
 
 
 def composite_prox(g, anchor, A: float, B: float, C: float) -> SimplexVector:

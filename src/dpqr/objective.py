@@ -66,11 +66,6 @@ def max_query_error(ref, candidate, w: QueryWorkload) -> float:
     return float((w.queries @ diff).max())
 
 
-def primal_objective(d, ref, w: QueryWorkload) -> float:
-    """max over rows of <q, ref - d>; d may be any real vector (not just simplex)."""
-    return max_query_error(ref, d, w)
-
-
 def frank_wolfe_gap(q, ref, alpha, w: QueryWorkload) -> float:
     """Linearized improvement max over rows s of <grad(q), s - q>.
 
@@ -130,28 +125,3 @@ def gaussian_width(w: QueryWorkload, samples: int, rng: NoiseStream) -> WidthEst
 
     mean, stderr = _mc_mean(samples, draw)
     return WidthEstimate(mean=mean, stderr=stderr, samples=samples)
-
-
-def smoothed_primal_mc(
-    d,
-    ref,
-    w: QueryWorkload,
-    sigma: float,
-    samples: int,
-    rng: NoiseStream,
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of E[phi(d + xi)], xi ~ N(0, sigma^2 I).
-
-    Diagnostic-only; nothing on the solver path calls this.
-    """
-    if sigma <= 0.0:
-        raise ValidationError(f"need sigma > 0, got {sigma}")
-    if samples < 2:
-        raise ValidationError(f"need samples >= 2, got {samples}")
-    dv = as_values(d)
-    _check_dims(dv, w)
-    base = w.queries @ (as_values(ref) - dv)
-    def draw(chunk):
-        return (base[None, :] - rng.gaussian(sigma, size=(chunk, w.k)) @ w.queries.T).max(axis=1)
-
-    return _mc_mean(samples, draw)

@@ -67,7 +67,7 @@ def from_record(cls, d: dict):
         if f.name in d:
             try:
                 kwargs[f.name] = _coerce(hints[f.name], d[f.name])
-            except (TypeError, ValidationError) as exc:
+            except (TypeError, OverflowError, ValidationError) as exc:
                 raise ValidationError(f"{cls.__name__} field {f.name!r}: {exc}") from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"{cls.__name__} missing field {f.name!r}")
@@ -109,7 +109,7 @@ class RunReport:
     def of_release(
         cls, *, algorithm, data, workload, budget, alpha, rng, schedule, p_priv,
         empirical_max_error, population_max_error, started, solved,
-        width=None, regime_ok=None, diagnostics=None, **schedule_extra,
+        width=None, regime_ok=None, **schedule_extra,
     ) -> "RunReport":
         """Report of a finished release; ``started``/``solved`` are perf_counter stamps.
 
@@ -141,7 +141,7 @@ class RunReport:
             per_query_answers=(workload.queries @ p_priv.values).tolist(),
             no_noise=no_noise, width=None if width is None else to_record(width),
             regime_ok=regime_ok, population_max_error=population_max_error,
-            diagnostics=diagnostics, warnings=notes,
+            warnings=notes,
             timings={"total_s": time.perf_counter() - started, "solve_s": solved - started},
         )
 

@@ -40,20 +40,18 @@ from dpqr.mechanisms import (
     optimal_rdp_order,
     rdp_to_dp,
 )
-from dpqr.objective import (
-    gaussian_width,
-    primal_objective,
-    smoothed_gradient_oracle,
-    smoothed_primal_mc,
-)
+from dpqr.objective import gaussian_width, smoothed_gradient_oracle
 from testkit import (
     GridSpec,
     brute_force_prox,
     dual_grid_bound,
+    fw_gaps,
     grid_max_dual,
     grid_min_primal,
     primal_grid_bound,
+    primal_objective,
     regularized_primal,
+    smoothed_primal_mc,
 )
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
@@ -247,10 +245,8 @@ def test_criterion_08_non_private_limit():
 
     t_fw = 8000
     fw_sched = FWSchedule(T=t_fw, gamma=2 * math.sqrt(alpha / (t_fw * 2.0)), lam=0.0)
-    _, trace = run_dpfw(
-        data, swap, alpha, NoiseStream(108, "fw"), fw_sched, track_gap=True
-    )
-    fw_gap = float(trace.gaps.mean())
+    _, picked, _ = run_dpfw(data, swap, alpha, NoiseStream(108, "fw"), fw_sched)
+    fw_gap = float(fw_gaps(data, swap, alpha, fw_sched, picked).mean())
 
     am_sched = AMSchedule(
         T=2000, sigma=1e-3, eta_offset=math.sqrt(4.0 / (alpha * 1e-3)) + 1.0

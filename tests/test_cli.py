@@ -10,7 +10,6 @@ from dpqr.cli import (
     load_workload,
     main,
     save_dataset,
-    save_distribution,
     save_workload,
 )
 from dpqr.core import new_dataset, new_simplex, new_workload, symmetrize
@@ -18,6 +17,7 @@ from dpqr.dpfw import optimal_alpha
 from dpqr.core import PrivacyBudget
 from dpqr.errors import ParseError, ValidationError
 from dpqr.report import RunReport
+from testkit import save_distribution
 
 
 def write_plan(path, **overrides):
@@ -178,8 +178,11 @@ class TestSubcommands:
             ({"values": [True, False]}, "distribution value True at index 0 is not a number"),
             ({"values": [0.5, "0.5"]}, "distribution value '0.5' at index 1 is not a number"),
             ({"values": {"0": 1.0}}, "distribution values must be a list of numbers"),
+            # float() of this integer overflows
+            ({"values": [10**400, 0.5]}, "distribution value at index 0 is too large for a float"),
         ],
-        ids=["k-fractional", "k-bool", "value-bool", "value-string", "values-object"],
+        ids=["k-fractional", "k-bool", "value-bool", "value-string", "values-object",
+             "value-huge"],
     )
     def test_gen_data_distribution_of_wrong_kind_exit_2(self, tmp_path, capsys, content, message):
         dist = tmp_path / "d.json"
@@ -242,8 +245,10 @@ class TestSubcommands:
             ({"k": None, "queries": [[1.0, 0.0]]}, "field 'k' is not an integer: None"),
             ({"k": 2.9, "queries": [[1.0, 0.0]]}, "field 'k' is not an integer: 2.9"),
             ({"k": True, "queries": [[1.0]]}, "field 'k' is not an integer: True"),
+            ({"k": 2, "queries": [[1.0, 10**400]]},
+             f"query entry {10**400} at row 0, column 1 outside [-1, 1]"),
         ],
-        ids=["top-level", "queries", "row", "k", "k-fractional", "k-bool"],
+        ids=["top-level", "queries", "row", "k", "k-fractional", "k-bool", "entry-huge"],
     )
     def test_run_workload_of_wrong_shape_exit_2(self, toy_files, capsys, content, message):
         tmp_path, _, dpath, _ = toy_files
@@ -305,13 +310,12 @@ class TestSubcommands:
         assert code == 2
         assert "--alpha" in capsys.readouterr().err
 
-    def test_bench_and_workers_env(self, tmp_path, monkeypatch):
+    def test_bench_and_workers_flag(self, tmp_path):
         ppath = tmp_path / "plan.json"
         write_plan(ppath)
         out1, out2 = tmp_path / "res1.json", tmp_path / "res2.json"
         assert main(["bench", "--plan", str(ppath), "--out", str(out1)]) == 0
-        monkeypatch.setenv("DPQR_WORKERS", "4")
-        assert main(["bench", "--plan", str(ppath), "--out", str(out2)]) == 0
+        assert main(["bench", "--plan", str(ppath), "--out", str(out2), "--workers", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         result = json.loads(out1.read_text())
         assert len(result["cells"]) == 1
@@ -327,9 +331,10 @@ class TestSubcommands:
             ("workers", 0, "need workers >= 1, got 0"),
             ("seed", -1, "need seed >= 0, got -1"),
             ("k", 16.7, "ExperimentPlan field 'k': expected int, got 16.7"),
+            ("delta", 10**400, "ExperimentPlan field 'delta': int too large to convert to float"),
         ],
         ids=["delta-2", "delta-0", "alpha-negative", "alpha-0", "workers-0", "seed-negative",
-             "k-fractional"],
+             "k-fractional", "delta-huge"],
     )
     def test_bench_invalid_plan_exit_2(self, tmp_path, capsys, field, value, message):
         ppath = tmp_path / "plan.json"
@@ -342,25 +347,12 @@ class TestSubcommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), ([], "0")],
-                             ids=["flag", "env"])
-    def test_bench_workers_below_1_exit_2(self, tmp_path, monkeypatch, capsys, flag, env):
+    def test_bench_workers_below_1_exit_2(self, tmp_path, capsys):
         ppath = tmp_path / "plan.json"
         write_plan(ppath)
-        if env is not None:
-            monkeypatch.setenv("DPQR_WORKERS", env)
         out = tmp_path / "res.json"
-        assert main(["bench", "--plan", str(ppath), "--out", str(out), *flag]) == 2
+        assert main(["bench", "--plan", str(ppath), "--out", str(out), "--workers", "0"]) == 2
         assert "need workers >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bench_workers_env_not_integer_exit_2(self, tmp_path, monkeypatch, capsys):
-        ppath = tmp_path / "plan.json"
-        write_plan(ppath)
-        monkeypatch.setenv("DPQR_WORKERS", "abc")
-        out = tmp_path / "res.json"
-        assert main(["bench", "--plan", str(ppath), "--out", str(out)]) == 2
-        assert "DPQR_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sample_from_report(self, toy_files):
@@ -475,6 +467,8 @@ class TestReportRoundTrip:
             # 2.7 to 2, true to 1, 7 to "7", a list of pairs to a dict
             ("no_noise", "false"), ("no_noise", 0), ("k", 2.7), ("k", True), ("k", "2"),
             ("epsilon", True), ("epsilon", "1.0"), ("algorithm", 7), ("schedule", [["T", 3]]),
+            # an integer float() cannot hold used to escape as OverflowError
+            ("epsilon", 10**400),
         ):
             d = self._written_report(toy_files)
             d[key] = value

@@ -13,11 +13,10 @@ from dpqr.core import (
     uniform,
 )
 from dpqr.dpfw import dual_to_primal, optimal_alpha, release_dpfw, run_dpfw
-from dpqr.entropy import log_sum_exp, neg_entropy
 from dpqr.errors import InvalidAlpha, InvalidParams
 from dpqr.mechanisms import FWSchedule, NoiseStream
 from dpqr.objective import max_query_error
-from testkit import GridSpec, grid_min_primal
+from testkit import GridSpec, fw_gaps, grid_min_primal, log_sum_exp, neg_entropy
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 SWAP = symmetrize(new_workload([[1.0, -1.0]]))
@@ -33,21 +32,21 @@ def small_schedule(t=50, lam=0.3):
 
 class TestRunDpfw:
     def test_deterministic(self):
-        q1, t1 = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(3, "fw"), small_schedule())
-        q2, t2 = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(3, "fw"), small_schedule())
+        q1, rows1, out1 = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(3, "fw"), small_schedule())
+        q2, rows2, out2 = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(3, "fw"), small_schedule())
         assert np.array_equal(q1, q2)
-        assert np.array_equal(t1.row_indices, t2.row_indices)
-        assert t1.output_index == t2.output_index
+        assert np.array_equal(rows1, rows2)
+        assert out1 == out2
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
             run_dpfw(TOY_DATA, SWAP, 0.0, NoiseStream(3, "fw"), small_schedule())
 
     def test_iterates_stay_in_hull(self):
-        # replay the update from the trace: every iterate is a convex
+        # replay the update from the selections: every iterate is a convex
         # combination of rows, and its weight vector reconstructs it
         sched = small_schedule(t=200)
-        q_out, trace = run_dpfw(TOY_DATA, SWAP, 0.4, NoiseStream(9, "fw"), sched)
+        q_out, picked, out_index = run_dpfw(TOY_DATA, SWAP, 0.4, NoiseStream(9, "fw"), sched)
         q = SWAP.queries[0].copy()
         weights = np.zeros(SWAP.m)
         weights[0] = 1.0
@@ -55,19 +54,18 @@ class TestRunDpfw:
             assert weights.min() >= 0.0
             assert weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.abs(weights @ SWAP.queries - q).max() < 1e-9
-            if t == trace.output_index:
+            if t == out_index:
                 assert np.array_equal(q_out, q)
-            i = trace.row_indices[t]
+            i = picked[t]
             q += sched.gamma * (SWAP.queries[i] - q)
             weights *= 1.0 - sched.gamma
             weights[i] += sched.gamma
 
     def test_noise_free_gap_decreases(self):
         sched = FWSchedule(T=400, gamma=2 * math.sqrt(0.5 / (400 * 2.0)), lam=0.0)
-        _, trace = run_dpfw(
-            TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched, track_gap=True
-        )
-        assert trace.gaps.mean() < trace.gaps[0]
+        _, picked, _ = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched)
+        gaps = fw_gaps(TOY_DATA, SWAP, 0.5, sched, picked)
+        assert gaps.mean() < gaps[0]
 
     def test_noise_free_average_gap_improves_with_budget(self):
         # with the calibrated step size, longer noise-free runs have smaller
@@ -75,10 +73,8 @@ class TestRunDpfw:
         means = []
         for t in (10, 100, 1000):
             sched = FWSchedule(T=t, gamma=2 * math.sqrt(0.5 / (t * 2.0)), lam=0.0)
-            _, trace = run_dpfw(
-                TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched, track_gap=True
-            )
-            means.append(float(trace.gaps.mean()))
+            _, picked, _ = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched)
+            means.append(float(fw_gaps(TOY_DATA, SWAP, 0.5, sched, picked).mean()))
         assert means[0] >= means[1] >= means[2]
 
 
@@ -209,20 +205,13 @@ class TestRelease:
         priv = np.array(report.p_priv)
         assert np.allclose(report.per_query_answers, SWAP.queries @ priv)
 
-    def test_gap_diagnostics_under_both_references(self):
-        true_p = new_simplex([0.65, 0.35])
+    def test_records_the_solver_output_index(self):
+        # the release reads the iterate at the index the solver drew from
+        # the stream, and records that same index
+        sched = FWSchedule(T=100, gamma=0.05, lam=0.2)
         report = release_dpfw(
-            TOY_DATA, SWAP, BUDGET, NoiseStream(17, "rel"), alpha=0.5,
-            schedule=FWSchedule(T=100, gamma=0.05, lam=0.2),
-            true_dist=true_p, track_gap=True,
+            TOY_DATA, SWAP, BUDGET, NoiseStream(17, "rel"), alpha=0.5, schedule=sched,
         )
-        diag = report.diagnostics
-        assert diag is not None
-        assert diag["mean_gap_empirical"] >= 0.0
-        assert diag["output_gap_empirical"] >= 0.0
-        assert "output_gap_population" in diag
-        plain = release_dpfw(
-            TOY_DATA, SWAP, BUDGET, NoiseStream(17, "rel"), alpha=0.5,
-            schedule=FWSchedule(T=100, gamma=0.05, lam=0.2),
-        )
-        assert plain.diagnostics is None
+        q_out, _, out_index = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(17, "rel"), sched)
+        assert report.schedule["output_index"] == out_index
+        assert report.p_priv == dual_to_primal(q_out, 0.5).values.tolist()

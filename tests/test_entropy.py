@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from dpqr.core import new_simplex, uniform
-from dpqr.entropy import (
-    composite_prox,
-    kl_divergence,
-    log_sum_exp,
-    neg_entropy,
-    softmax,
-)
+from dpqr.entropy import composite_prox, softmax
 from dpqr.errors import AnchorHasZero, ValidationError
-from testkit import GridSpec, simplex_grid
+from testkit import GridSpec, kl_divergence, log_sum_exp, neg_entropy, simplex_grid
 
 # sum of x log x over (0.25, 0.75), summed at 40 decimal digits
 NEG_ENTROPY_QUARTER = -0.5623351446188083

@@ -11,11 +11,16 @@ from dpqr.objective import (
     frank_wolfe_gap,
     gaussian_width,
     max_query_error,
-    primal_objective,
     smoothed_gradient_oracle,
+)
+from testkit import (
+    empirical_dual_gradient,
+    neg_entropy,
+    primal_objective,
+    regularized_dual,
+    regularized_primal,
     smoothed_primal_mc,
 )
-from testkit import empirical_dual_gradient, regularized_dual, regularized_primal
 
 SWAP = symmetrize(new_workload([[1.0, -1.0]]))  # rows (1,-1) and (-1,1)
 
@@ -66,8 +71,6 @@ class TestPrimal:
 
     def test_regularized_decomposes(self):
         rng = np.random.default_rng(2)
-        from dpqr.entropy import neg_entropy
-
         for alpha in (0.0, 0.3):
             d = new_simplex(rng.dirichlet(np.ones(3)))
             ref = new_simplex(rng.dirichlet(np.ones(3)))

@@ -5,7 +5,9 @@ closed forms against slow, geometrically different computations: a projected
 gradient method with Euclidean simplex projection for the composite prox,
 and exhaustive simplex grids for the primal/dual optima at desk scale.  It
 also holds the entropy-regularized primal and dual objectives, and the
-gradient of the dual, which those checks evaluate and no release computes.
+gradient of the dual, which those checks evaluate and no release computes,
+together with the entropy functionals, the Monte Carlo smoothed primal, the
+Frank-Wolfe gap replay and the distribution writer that only tests call.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpqr.core import QueryWorkload, SimplexVector, as_alpha, as_values, new_simplex
-from dpqr.entropy import log_sum_exp, neg_entropy, softmax
-from dpqr.errors import DimensionMismatch, ValidationError
-from dpqr.objective import primal_objective
+from dpqr.cli import _write_json
+from dpqr.core import (
+    Dataset, QueryWorkload, SimplexVector, as_alpha, as_values, empirical, new_simplex,
+)
+from dpqr.entropy import softmax
+from dpqr.errors import AnchorHasZero, DimensionMismatch, ValidationError
+from dpqr.mechanisms import FWSchedule, NoiseStream
+from dpqr.objective import _check_dims, _mc_mean, frank_wolfe_gap, max_query_error
 
 
 class GridTooLarge(ValidationError):
@@ -217,6 +223,88 @@ def grid_max_dual(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[np.ndar
             best_val = float(vals[i])
             best_idx = lo + i
     return weights[best_idx], best_val
+
+
+def neg_entropy(d) -> float:
+    """sum d(z) log d(z), with the 0 log 0 = 0 convention.  In [-log k, 0]."""
+    v = as_values(d)
+    pos = v > 0.0
+    return float(np.sum(v[pos] * np.log(v[pos])))
+
+
+def log_sum_exp(y) -> float:
+    """log sum_j exp(y_j), computed stably by max subtraction."""
+    v = np.asarray(y, dtype=float)
+    if v.size == 0:
+        raise ValidationError("log_sum_exp of an empty array")
+    top = float(v.max())
+    if not np.isfinite(top):
+        return top
+    return top + float(np.log(np.sum(np.exp(v - top))))
+
+
+def kl_divergence(d, anchor) -> float:
+    """KL(d || anchor) = sum d(z) log(d(z)/anchor(z)); nonnegative."""
+    dv = as_values(d)
+    av = as_values(anchor)
+    if dv.shape != av.shape:
+        raise ValidationError(f"shape mismatch {dv.shape} vs {av.shape}")
+    pos = dv > 0.0
+    if np.any(av[pos] == 0.0):
+        raise AnchorHasZero("anchor has zero mass where d does not")
+    return float(np.sum(dv[pos] * (np.log(dv[pos]) - np.log(av[pos]))))
+
+
+def primal_objective(d, ref, w: QueryWorkload) -> float:
+    """max over rows of <q, ref - d>; d may be any real vector (not just simplex)."""
+    return max_query_error(ref, d, w)
+
+
+def smoothed_primal_mc(
+    d,
+    ref,
+    w: QueryWorkload,
+    sigma: float,
+    samples: int,
+    rng: NoiseStream,
+) -> tuple[float, float]:
+    """Monte Carlo estimate (mean, stderr) of E[phi(d + xi)], xi ~ N(0, sigma^2 I).
+
+    Diagnostic-only; nothing on the solver path calls this.
+    """
+    if sigma <= 0.0:
+        raise ValidationError(f"need sigma > 0, got {sigma}")
+    if samples < 2:
+        raise ValidationError(f"need samples >= 2, got {samples}")
+    dv = as_values(d)
+    _check_dims(dv, w)
+    base = w.queries @ (as_values(ref) - dv)
+    def draw(chunk):
+        return (base[None, :] - rng.gaussian(sigma, size=(chunk, w.k)) @ w.queries.T).max(axis=1)
+
+    return _mc_mean(samples, draw)
+
+
+def fw_gaps(
+    data: Dataset, workload: QueryWorkload, alpha, schedule: FWSchedule, rows
+) -> np.ndarray:
+    """Frank-Wolfe gap, against the empirical distribution, of every DPFW iterate.
+
+    ``rows`` are the selections ``run_dpfw`` returns.  The replay repeats
+    the solver's update from q_0 = rows[0], so its iterates, and hence the
+    gaps, are the solver's own bit for bit.
+    """
+    emp = empirical(data, workload.k).values
+    q = workload.queries[0].copy()
+    gaps = np.empty(len(rows))
+    for t, i in enumerate(rows):
+        gaps[t] = frank_wolfe_gap(q, emp, alpha, workload)
+        q += schedule.gamma * (workload.queries[i] - q)
+    return gaps
+
+
+def save_distribution(p: SimplexVector, path: str):
+    _write_json({"k": p.k, "values": [float(x) for x in p.values]}, path)
 
 
 def regularized_primal(d, ref, w: QueryWorkload, alpha) -> float:
