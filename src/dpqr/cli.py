@@ -57,6 +57,8 @@ def _read_json(path: str) -> dict:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer longer than Python converts
+            raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ParseError(f"{path}: expected a JSON object at the top level")
     return d
@@ -92,9 +94,7 @@ def load_workload(path: str) -> QueryWorkload:
         for j, x in enumerate(row):
             # compared as parsed: float() of a huge JSON integer overflows
             if isinstance(x, bool) or not isinstance(x, (int, float)) or abs(x) > 1:
-                raise ParseError(
-                    f"{path}: query entry {x} at row {i}, column {j} outside [-1, 1]"
-                )
+                raise ParseError(f"{path}: query entry at row {i}, column {j} is not in [-1, 1]")
     return new_workload(np.asarray(rows, dtype=float))
 
 

@@ -1,9 +1,10 @@
 """Seeded noise sources, private selection, and privacy calibration.
 
-Noise is drawn from streams keyed by (seed, label, counter): every draw call
-derives a fresh generator from those three values, so a run is reproducible
-even when two configurations consume different numbers of draws, and
-substreams with distinct labels are independent.  Laplace variates use the
+Noise is drawn from streams keyed by (seed, label): each stream owns one
+generator, seeded from those two values on its first draw, and every draw
+reads the next values from it.  Consumers that draw a different amount of
+noise take their own substreams (distinct labels, independent generators), so
+one consumer's draws never shift another's.  Laplace variates use the
 inverse CDF of a single uniform draw, which is easy to audit and identical
 across platforms.
 
@@ -15,7 +16,6 @@ converted back to (epsilon, delta).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,38 +37,42 @@ _LOG_FLOOR = 1e-300
 
 
 class NoiseStream:
-    """Deterministic noise source keyed by (seed, label, draw counter).
+    """Deterministic noise source: one generator per (seed, label).
 
-    Two streams with equal seed and label produce identical sequences.  A
-    stream is single-owner mutable state: it may be handed between threads
+    Two streams with equal seed and label produce identical sequences over
+    the same series of calls, and ``uniform(size=3)`` then ``uniform(size=5)``
+    reads the same values as one ``uniform(size=8)``.  The generator is built
+    on the first draw, so a stream that only derives substreams costs nothing.
+    A stream is single-owner mutable state: it may be handed between threads
     but never shared concurrently.
     """
 
     def __init__(self, seed: int, label: str = "root"):
         self.seed = int(seed) & _MASK64
         self.label = label
-        self.counter = 0
-        self._label_key = int.from_bytes(
-            hashlib.sha256(label.encode("utf-8")).digest()[:8], "big"
-        )
+        self._gen = None
 
     def substream(self, label: str) -> "NoiseStream":
         """An independent stream derived by extending the label."""
         return NoiseStream(self.seed, f"{self.label}/{label}")
 
-    def _next(self) -> np.random.Generator:
-        ss = np.random.SeedSequence([self.seed, self._label_key, self.counter])
-        self.counter += 1
-        return np.random.Generator(np.random.PCG64(ss))
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            # the seed's 8 bytes, the label's bytes and a closing 1: distinct
+            # (seed, label) pairs never give the same integer
+            key = self.seed.to_bytes(8, "little") + self.label.encode("utf-8") + b"\x01"
+            ss = np.random.SeedSequence(int.from_bytes(key, "little"))
+            self._gen = np.random.Generator(np.random.PCG64(ss))
+        return self._gen
 
     def uniform(self, size=None):
-        return self._next().random(size)
+        return self._generator().random(size)
 
     def laplace(self, scale: float, size=None):
         """Centered Laplace draws by inverse CDF; scale 0 gives exact zeros."""
         if not (0.0 <= scale < math.inf):
             raise ValidationError(f"laplace scale must be finite and >= 0, got {scale}")
-        u = self._next().random(size)
+        u = self._generator().random(size)
         p = u - 0.5
         mag = np.log(np.maximum(1.0 - 2.0 * np.abs(p), _LOG_FLOOR))
         return -scale * np.sign(p) * mag
@@ -76,19 +80,19 @@ class NoiseStream:
     def gaussian(self, sigma: float, size=None):
         if not (0.0 <= sigma < math.inf):
             raise ValidationError(f"gaussian scale must be finite and >= 0, got {sigma}")
-        return self._next().standard_normal(size) * sigma
+        return self._generator().standard_normal(size) * sigma
 
     def integers(self, n: int, size=None):
         """Uniform draws from {0, ..., n-1}."""
         if n < 1:
             raise ValidationError(f"need n >= 1, got {n}")
-        return self._next().integers(0, n, size=size)
+        return self._generator().integers(0, n, size=size)
 
     def dirichlet(self, concentration, size=None):
-        return self._next().dirichlet(np.asarray(concentration, dtype=float), size=size)
+        return self._generator().dirichlet(np.asarray(concentration, dtype=float), size=size)
 
     def __repr__(self):
-        return f"NoiseStream(seed={self.seed}, label={self.label!r}, counter={self.counter})"
+        return f"NoiseStream(seed={self.seed}, label={self.label!r})"
 
 
 def report_noisy_max(scores, scale: float, rng: NoiseStream) -> int:

@@ -1,12 +1,12 @@
 """Run reports, and the JSON codec shared by every record written to a file.
 
 A record is a dataclass whose JSON keys are its field names.  Writing copies
-each field; reading coerces each value to its field's annotated type, takes
-the field default when a key is absent, and raises ValidationError when a
-required key is absent, holds a null that its type does not allow, or holds
-a value of the wrong kind (a list for a number, a number for a list or a
-string, a string or a bool for a number, a fractional number for an
-integer).
+each field, an array as a list; reading coerces each value to its field's
+annotated type, takes the field default when a key is absent, and raises
+ValidationError when a required key is absent, holds a null that its type
+does not allow, or holds a value of the wrong kind (a list for a number, a
+number for a list or a string, a string or a bool for a number, a
+fractional number for an integer).
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import time
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields
+
+import numpy as np
 
 from .core import new_simplex
 from .errors import ValidationError
@@ -27,7 +29,9 @@ def to_record(obj, drop=()) -> dict:
     for f in fields(obj):
         if f.name not in drop:
             v = getattr(obj, f.name)
-            if isinstance(v, (list, tuple)):
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif isinstance(v, (list, tuple)):
                 v = list(v)
             elif isinstance(v, dict):
                 v = dict(v)
@@ -48,6 +52,8 @@ def _coerce(tp, value):
         return _coerce(tp, value)
     if value is None:
         raise ValidationError("null where a value is required")
+    if tp is np.ndarray:  # a JSON list of numbers
+        return np.array(_coerce(list[float], value))
     if origin in (list, tuple):
         if isinstance(value, str):  # a bare string is a one-element sequence
             value = [value]
@@ -80,9 +86,11 @@ class RunReport:
 
     ``p_priv`` always validates as a distribution; ``population_max_error``
     is present only when the caller supplied the true generating
-    distribution (synthetic benchmarks).  ``timings`` holds wall-clock
-    seconds and is the one volatile field: file writers drop it by default
-    so serialized reports stay byte-reproducible.
+    distribution (synthetic benchmarks).  ``p_priv`` and
+    ``per_query_answers`` are float arrays (8 bytes a value, against about 32
+    in a list of Python floats) and JSON lists in files.  ``timings`` holds
+    wall-clock seconds and is the one volatile field: file writers drop it by
+    default so serialized reports stay byte-reproducible.
     """
 
     algorithm: str
@@ -94,9 +102,9 @@ class RunReport:
     alpha: float
     seed: int
     schedule: dict
-    p_priv: list[float]
+    p_priv: np.ndarray
     empirical_max_error: float
-    per_query_answers: list[float]
+    per_query_answers: np.ndarray
     no_noise: bool = False
     width: dict | None = None
     regime_ok: bool | None = None
@@ -136,9 +144,9 @@ class RunReport:
             algorithm=algorithm, k=workload.k, m=workload.m, n=data.n,
             epsilon=budget.epsilon, delta=budget.delta, alpha=alpha, seed=rng.seed,
             schedule={**to_record(schedule), **schedule_extra},
-            p_priv=p_priv.values.tolist(),
+            p_priv=p_priv.values,
             empirical_max_error=empirical_max_error,
-            per_query_answers=(workload.queries @ p_priv.values).tolist(),
+            per_query_answers=workload.queries @ p_priv.values,
             no_noise=no_noise, width=None if width is None else to_record(width),
             regime_ok=regime_ok, population_max_error=population_max_error,
             warnings=notes,

@@ -246,7 +246,7 @@ class TestSubcommands:
             ({"k": 2.9, "queries": [[1.0, 0.0]]}, "field 'k' is not an integer: 2.9"),
             ({"k": True, "queries": [[1.0]]}, "field 'k' is not an integer: True"),
             ({"k": 2, "queries": [[1.0, 10**400]]},
-             f"query entry {10**400} at row 0, column 1 outside [-1, 1]"),
+             "query entry at row 0, column 1 is not in [-1, 1]"),
         ],
         ids=["top-level", "queries", "row", "k", "k-fractional", "k-bool", "entry-huge"],
     )
@@ -259,8 +259,25 @@ class TestSubcommands:
              "--eps", "1.0", "--delta", "1e-6", "--seed", "2",
              "--out", str(tmp_path / "r.json")]
         )
+        err = capsys.readouterr().err
         assert code == 2
-        assert f"{bad}: {message}" in capsys.readouterr().err
+        # the message names the place, never echoes a long entry
+        assert f"{bad}: {message}" in err and len(err) < 300
+
+    def test_run_integer_too_long_to_read_names_file(self, toy_files, capsys):
+        # json.load refuses an integer of more than 4,300 digits with a ValueError
+        tmp_path, _, dpath, _ = toy_files
+        bad = tmp_path / "long.json"
+        bad.write_text('{"k": 2, "queries": [[1, ' + "9" * 5000 + "]]}")
+        code = main(
+            ["run", "--algo", "dpfw", "--data", str(dpath), "--workload", str(bad),
+             "--eps", "1.0", "--delta", "1e-6", "--seed", "2",
+             "--out", str(tmp_path / "r.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {bad}: unreadable JSON: Exceeds the limit (4300 digits)" in err
+        assert len(err) < 300
 
     def test_run_with_timings(self, toy_files):
         tmp_path, wpath, dpath, _ = toy_files
@@ -435,6 +452,14 @@ class TestReportRoundTrip:
         assert again.to_dict(include_timings=True) == d
         assert new_simplex(again.p_priv).k == w.k
 
+    def test_arrays_in_memory_lists_in_files(self, toy_files):
+        d = self._written_report(toy_files)
+        report = RunReport.from_dict(d)
+        for name in ("p_priv", "per_query_answers"):
+            value = getattr(report, name)
+            assert isinstance(d[name], list) and value.dtype == np.float64
+            assert value.tolist() == d[name]
+
     def test_missing_required_field(self, toy_files):
         d = self._written_report(toy_files)
         del d["empirical_max_error"]
@@ -536,7 +561,7 @@ class TestReportRoundTrip:
         # a written report carries the exact schedule, alpha, and seed, so
         # the run reproduces from it plus the input files alone
         report, replay = self._run_and_replay(toy_files)
-        assert replay.p_priv == report.p_priv
+        assert np.array_equal(replay.p_priv, report.p_priv)
         assert replay.empirical_max_error == report.empirical_max_error
 
     def test_replay_no_noise_report(self, toy_files):
@@ -544,5 +569,5 @@ class TestReportRoundTrip:
         # non-private run and is flagged as one
         report, replay = self._run_and_replay(toy_files, "--no-noise")
         assert report.schedule["sigma"] == 0.0
-        assert replay.p_priv == report.p_priv
+        assert np.array_equal(replay.p_priv, report.p_priv)
         assert replay.no_noise and replay.warnings == report.warnings

@@ -152,7 +152,7 @@ class TestRelease:
         a = release_dpam(TOY_DATA, SWAP, BUDGET, NoiseStream(9, "rel"))
         b = release_dpam(TOY_DATA, SWAP, BUDGET, NoiseStream(9, "rel"))
         assert all(x > 0.0 for x in a.p_priv)
-        assert a.p_priv == b.p_priv
+        assert np.array_equal(a.p_priv, b.p_priv)
         assert a.width is not None and a.width["samples"] == 1000
         assert a.regime_ok is not None
 

@@ -149,7 +149,7 @@ class TestRelease:
     def test_deterministic(self):
         a = release_dpfw(TOY_DATA, SWAP, BUDGET, NoiseStream(13, "rel"))
         b = release_dpfw(TOY_DATA, SWAP, BUDGET, NoiseStream(13, "rel"))
-        assert a.p_priv == b.p_priv
+        assert np.array_equal(a.p_priv, b.p_priv)
         assert a.schedule == b.schedule
 
     def test_zero_scale_schedule_flagged(self):
@@ -214,4 +214,4 @@ class TestRelease:
         )
         q_out, _, out_index = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(17, "rel"), sched)
         assert report.schedule["output_index"] == out_index
-        assert report.p_priv == dual_to_primal(q_out, 0.5).values.tolist()
+        assert np.array_equal(report.p_priv, dual_to_primal(q_out, 0.5).values)

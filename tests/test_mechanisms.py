@@ -50,14 +50,49 @@ class TestNoiseStream:
         b = NoiseStream(123, "y").uniform(size=20)
         assert not np.array_equal(a, b)
 
-    def test_counter_keys_draws(self):
+    def test_mixed_calls_reproduce(self):
+        def draws(stream):
+            return [
+                stream.uniform(size=3),
+                stream.laplace(1.5, size=4),
+                stream.integers(7, size=5),
+                stream.gaussian(0.5, size=2),
+                stream.dirichlet([0.5, 1.0, 2.0]),
+                stream.uniform(),
+            ]
+
+        for x, y in zip(draws(NoiseStream(9, "z")), draws(NoiseStream(9, "z"))):
+            assert np.array_equal(x, y)
+
+    def test_calls_read_one_sequence(self):
         a = NoiseStream(9, "z")
-        first = a.uniform(size=5)
-        b = NoiseStream(9, "z")
-        b.counter = 1
-        second_a = a.uniform(size=5)
-        assert np.array_equal(second_a, b.uniform(size=5))
-        assert not np.array_equal(first, second_a)
+        split = np.concatenate([a.uniform(size=3), a.uniform(size=5)])
+        assert np.array_equal(split, NoiseStream(9, "z").uniform(size=8))
+
+    def test_parent_draws_leave_substreams_unchanged(self):
+        quiet = NoiseStream(4, "p").substream("child").laplace(1.0, size=6)
+        busy = NoiseStream(4, "p")
+        busy.uniform(size=100)
+        child = busy.substream("child")
+        busy.gaussian(1.0, size=10)
+        assert np.array_equal(child.laplace(1.0, size=6), quiet)
+
+    def test_deriving_substreams_builds_no_generator(self):
+        root = NoiseStream(4, "p")
+        leaf = root.substream("a").substream("b")
+        assert root._gen is None and leaf._gen is None
+        leaf.uniform()
+        assert root._gen is None and leaf._gen is not None
+
+    def test_keys_distinguish_seed_and_label(self):
+        # pairs a key built by concatenating seed and label words would merge
+        high = (int.from_bytes(b"abcd", "little") << 32) + 5
+        assert not np.array_equal(
+            NoiseStream(high, "x").uniform(size=4), NoiseStream(5, "abcdx").uniform(size=4)
+        )
+        assert not np.array_equal(
+            NoiseStream(5, "a").uniform(size=4), NoiseStream(5, "a\x00").uniform(size=4)
+        )
 
     def test_substream_label_composition(self):
         root = NoiseStream(5, "root")

@@ -202,7 +202,7 @@ class TestSmoothedOracle:
         assert row == 0  # row (1,-1) scores highest against emp - d
         assert np.allclose(grad, -SWAP.queries[0])
 
-    def test_deterministic_per_counter(self):
+    def test_deterministic_per_stream(self):
         emp = new_simplex([0.6, 0.4])
         ga, ra = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
         gb, rb = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
