@@ -8,6 +8,7 @@ types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,7 +215,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InvalidParams(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
@@ -223,7 +224,7 @@ class PrivacyBudget:
 def as_alpha(value, positive: bool = False) -> float:
     """Coerce alpha to a float; optionally require strict positivity."""
     a = float(value)
-    if not np.isfinite(a) or a < 0.0:
+    if not math.isfinite(a) or a < 0.0:
         raise InvalidAlpha(f"alpha must be a finite nonnegative real, got {a}")
     if positive and a == 0.0:
         raise InvalidAlpha("alpha must be strictly positive here")

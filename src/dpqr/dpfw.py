@@ -32,6 +32,9 @@ from .mechanisms import FWSchedule, NoiseStream, dpfw_schedule, report_noisy_max
 from .objective import max_query_error
 from .report import RunReport
 
+# Laplace values drawn per call in run_dpfw (64 KiB of float64)
+_NOISE_BLOCK = 1 << 13
+
 
 def run_dpfw(
     data: Dataset,
@@ -45,26 +48,34 @@ def run_dpfw(
     Returns (dual vector of the output iterate, row selected at each
     iteration, output index).  Iterate t is replayed from the selections
     by q_0 = rows[0] and q_{t+1} = q_t + gamma (rows[picked[t]] - q_t).
+    The selection noise is drawn from the "rnm" substream a block of
+    iterations at a time, one row of m values per iteration; the stream
+    reads one sequence, so the values equal one ``laplace(lam, size=m)``
+    draw per iteration.
     """
     a = as_alpha(alpha, positive=True)
     emp = empirical(data, workload.k).values
     t_total = schedule.T
     gamma = schedule.gamma
     rows = workload.queries
-    noise = rng.substream("rnm")
+    m = rows.shape[0]
+    block = max(1, _NOISE_BLOCK // m)
+    rnm = rng.substream("rnm")
     out_index = int(rng.substream("output").integers(t_total))
 
     q = rows[0].copy()
     picked = np.empty(t_total, dtype=np.int64)
 
-    for t in range(t_total):
-        if t == out_index:
-            q_out = q.copy()
-        grad = emp - softmax(q / a).values
-        scores = rows @ grad
-        i = report_noisy_max(scores, schedule.lam, noise)
-        picked[t] = i
-        q += gamma * (rows[i] - q)
+    for start in range(0, t_total, block):
+        noise = rnm.laplace(schedule.lam, size=(min(block, t_total - start), m))
+        for t, row_noise in enumerate(noise, start):
+            if t == out_index:
+                q_out = q.copy()
+            grad = emp - softmax(q / a).values
+            scores = rows @ grad
+            i = report_noisy_max(scores, row_noise)
+            picked[t] = i
+            q += gamma * (rows[i] - q)
 
     return q_out, picked, out_index
 

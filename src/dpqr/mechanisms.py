@@ -95,20 +95,24 @@ class NoiseStream:
         return f"NoiseStream(seed={self.seed}, label={self.label!r})"
 
 
-def report_noisy_max(scores, scale: float, rng: NoiseStream) -> int:
-    """Index of the largest score after adding i.i.d. Laplace(scale) noise.
+def report_noisy_max(scores, noise) -> int:
+    """Index of the largest score after adding its row of Laplace noise.
 
-    The selection is (R/scale)-DP when R bounds the range max_i ds_i - min_i ds_i
-    of the per-row score change ds between neighbouring inputs: argmax is
-    shift-invariant, so a per-score sensitivity bound L gives only R <= 2L.
-    All scores are perturbed in one batched draw, in row order; exact ties
-    (certain at scale 0) resolve to the lowest index.
+    ``noise`` holds one i.i.d. Laplace(scale) value per score, in row order,
+    and must have the shape of ``scores``.  It does not depend on the data, so
+    a caller may draw it ahead of the scores (DPFW draws a block of iterations
+    at a time) and the mechanism is the same.  The selection is (R/scale)-DP
+    when R bounds the range max_i ds_i - min_i ds_i of the per-row score
+    change ds between neighbouring inputs: argmax is shift-invariant, so a
+    per-score sensitivity bound L gives only R <= 2L.  Exact ties (certain at
+    scale 0) resolve to the lowest index.
     """
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValidationError("expected a nonempty 1-d score array")
-    noisy = s + rng.laplace(scale, size=s.shape[0])
-    return int(np.argmax(noisy))
+    if np.shape(noise) != s.shape:
+        raise ValidationError(f"noise shape {np.shape(noise)} differs from scores {s.shape}")
+    return int(np.argmax(s + noise))
 
 
 @dataclass(frozen=True)

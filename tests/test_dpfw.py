@@ -13,6 +13,7 @@ from dpqr.core import (
     uniform,
 )
 from dpqr.dpfw import dual_to_primal, optimal_alpha, release_dpfw, run_dpfw
+from dpqr.entropy import softmax
 from dpqr.errors import InvalidAlpha, InvalidParams
 from dpqr.mechanisms import FWSchedule, NoiseStream
 from dpqr.objective import max_query_error
@@ -76,6 +77,36 @@ class TestRunDpfw:
             _, picked, _ = run_dpfw(TOY_DATA, SWAP, 0.5, NoiseStream(11, "fw"), sched)
             means.append(float(fw_gaps(TOY_DATA, SWAP, 0.5, sched, picked).mean()))
         assert means[0] >= means[1] >= means[2]
+
+    @pytest.mark.parametrize(
+        "m, k, t, lam",
+        [
+            (32, 4, 600, 0.3),  # blocks of 256 iterations: two full, one of 88
+            (8200, 2, 5, 0.3),  # m > 8192: one iteration per block
+            (32, 4, 300, 0.0),
+        ],
+    )
+    def test_picks_match_per_iteration_draws(self, m, k, t, lam):
+        # blocked noise reads the same values as one laplace(lam, size=m)
+        # draw per iteration from the "rnm" substream
+        gen = np.random.default_rng(m + t)
+        w = new_workload(gen.uniform(-1.0, 1.0, size=(m, k)))
+        data = new_dataset(gen.integers(0, k, size=200))
+        sched = FWSchedule(T=t, gamma=0.05, lam=lam)
+        _, picked, _ = run_dpfw(data, w, 0.5, NoiseStream(23, "fw"), sched)
+
+        emp = empirical(data, k).values
+        rnm = NoiseStream(23, "fw").substream("rnm")
+        q = w.queries[0].copy()
+        replay = []
+        for _ in range(t):
+            scores = w.queries @ (emp - softmax(q / 0.5).values)
+            i = int(np.argmax(scores + rnm.laplace(lam, size=m)))
+            replay.append(i)
+            q += sched.gamma * (w.queries[i] - q)
+        assert picked.tolist() == replay
+        if lam > 0.0:
+            assert len(set(replay)) > 1
 
 
 class TestDualToPrimal:

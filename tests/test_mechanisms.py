@@ -146,10 +146,15 @@ class TestGaussian:
 
 class TestReportNoisyMax:
     def test_no_noise_argmax(self):
-        assert report_noisy_max([1.0, 0.0], 0.0, NoiseStream(0, "r")) == 0
+        assert report_noisy_max([1.0, 0.0], np.zeros(2)) == 0
 
     def test_tie_lowest_index(self):
-        assert report_noisy_max([5.0, 5.0], 0.0, NoiseStream(0, "r")) == 0
+        assert report_noisy_max([5.0, 5.0], np.zeros(2)) == 0
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+    def test_noise_shape_must_match_scores(self, shape):
+        with pytest.raises(ValidationError):
+            report_noisy_max([1.0, 0.0], np.zeros(shape))
 
     def test_frequency_vs_direct_oracle(self):
         # selection frequency of the higher score under Laplace(1) noise,
