@@ -36,7 +36,7 @@ from .core import (
 )
 from .dpam import release_dpam
 from .dpfw import release_dpfw
-from .errors import InvalidParams, InvalidSpec, ValidationError
+from .errors import ValidationError
 from .mechanisms import NoiseStream
 from .objective import max_query_error
 from .report import from_record, to_record
@@ -47,7 +47,7 @@ _KIND_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 def _parse_kind(kind: str) -> tuple[str, str | None]:
     m = _KIND_RE.match(kind.strip())
     if not m:
-        raise InvalidSpec(f"cannot parse kind {kind!r}")
+        raise ValidationError(f"cannot parse kind {kind!r}")
     return m.group(1), m.group(2)
 
 
@@ -65,18 +65,18 @@ def gen_distribution(k: int, kind: str, rng: NoiseStream) -> SimplexVector:
     if name == "dirichlet":
         conc = float(arg) if arg else 1.0
         if conc <= 0.0:
-            raise InvalidSpec(f"dirichlet concentration must be positive, got {conc}")
+            raise ValidationError(f"dirichlet concentration must be positive, got {conc}")
         return new_simplex(rng.dirichlet(np.full(k, conc)))
     if name == "sparse":
         s = int(arg) if arg else 1
         if not (1 <= s <= k):
-            raise InvalidSpec(f"sparse support must lie in [1, {k}], got {s}")
+            raise ValidationError(f"sparse support must lie in [1, {k}], got {s}")
         order = np.argsort(rng.uniform(size=k), kind="stable")[:s]
         mass = rng.dirichlet(np.ones(s)) if s > 1 else np.ones(1)
         values = np.zeros(k)
         values[order] = mass
         return new_simplex(values)
-    raise InvalidSpec(f"unknown distribution kind {kind!r}")
+    raise ValidationError(f"unknown distribution kind {kind!r}")
 
 
 def gen_workload(k: int, m: int, kind: str, rng: NoiseStream) -> QueryWorkload:
@@ -90,7 +90,7 @@ def gen_workload(k: int, m: int, kind: str, rng: NoiseStream) -> QueryWorkload:
     if name == "parities":
         d = int(arg) if arg else int(round(math.log2(k)))
         if k != 2 ** d:
-            raise InvalidSpec(f"parities({d}) needs k = {2 ** d}, got {k}")
+            raise ValidationError(f"parities({d}) needs k = {2 ** d}, got {k}")
         z = np.arange(k)
         rows = np.where(np.bitwise_count(np.bitwise_and.outer(z, z)) % 2 == 0, 1.0, -1.0)
         return symmetrize(new_workload(rows))
@@ -102,7 +102,7 @@ def gen_workload(k: int, m: int, kind: str, rng: NoiseStream) -> QueryWorkload:
     if name == "random_box":
         rows = rng.uniform(size=(m, k)) * 2.0 - 1.0
         return symmetrize(new_workload(rows))
-    raise InvalidSpec(f"unknown workload kind {kind!r}")
+    raise ValidationError(f"unknown workload kind {kind!r}")
 
 
 def sample_dataset(p: SimplexVector, n: int, rng: NoiseStream) -> Dataset:
@@ -168,9 +168,9 @@ class ExperimentPlan:
         if not self.eps_grid or not all(0.0 < e < math.inf for e in self.eps_grid):
             raise ValidationError("eps grid must be nonempty with finite eps > 0")
         if not (0.0 < self.delta < 1.0):
-            raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
+            raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.alpha is not None:
-            as_alpha(self.alpha, positive=True)
+            as_alpha(self.alpha)
         if self.workers < 1:
             raise ValidationError(f"need workers >= 1, got {self.workers}")
         if self.seed < 0:

@@ -40,7 +40,7 @@ from .core import (
 )
 from .dpam import release_dpam
 from .dpfw import release_dpfw
-from .errors import DegenerateSchedule, ParseError, ValidationError
+from .errors import DegenerateSchedule, ValidationError
 from .mechanisms import NoiseStream
 from .report import RunReport
 
@@ -56,18 +56,18 @@ def _read_json(path: str) -> dict:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         except ValueError as exc:  # an integer longer than Python converts
-            raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
+            raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(d, dict):
-        raise ParseError(f"{path}: expected a JSON object at the top level")
+        raise ValidationError(f"{path}: expected a JSON object at the top level")
     return d
 
 
 def _int_field(d: dict, key: str, path: str) -> int:
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: field {key!r} is not an integer: {value!r}")
+        raise ValidationError(f"{path}: field {key!r} is not an integer: {value!r}")
     return value
 
 
@@ -79,22 +79,22 @@ def load_workload(path: str) -> QueryWorkload:
     d = _read_json(path)
     for key in ("k", "queries"):
         if key not in d:
-            raise ParseError(f"{path}: workload file missing field {key!r}")
+            raise ValidationError(f"{path}: workload file missing field {key!r}")
     rows = d["queries"]
     if not isinstance(rows, list):
-        raise ParseError(f"{path}: workload queries must be a list of rows")
+        raise ValidationError(f"{path}: workload queries must be a list of rows")
     if not rows:
-        raise ParseError(f"{path}: workload has no queries")
+        raise ValidationError(f"{path}: workload has no queries")
     k = _int_field(d, "k", path)
     for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise ParseError(f"{path}: row {i} is not a list")
+            raise ValidationError(f"{path}: row {i} is not a list")
         if len(row) != k:
-            raise ParseError(f"{path}: row {i} has length {len(row)}, expected k={k}")
+            raise ValidationError(f"{path}: row {i} has length {len(row)}, expected k={k}")
         for j, x in enumerate(row):
             # compared as parsed: float() of a huge JSON integer overflows
             if isinstance(x, bool) or not isinstance(x, (int, float)) or abs(x) > 1:
-                raise ParseError(f"{path}: query entry at row {i}, column {j} is not in [-1, 1]")
+                raise ValidationError(f"{path}: query entry at row {i}, column {j} is not in [-1, 1]")
     return new_workload(np.asarray(rows, dtype=float))
 
 
@@ -133,11 +133,11 @@ def _scan_dataset(path: str) -> tuple[Dataset, int]:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("k="):
-        raise ParseError(f"{path}: line 1 must be a 'k=<int>' header")
+        raise ValidationError(f"{path}: line 1 must be a 'k=<int>' header")
     try:
         k = int(lines[0][2:])
     except ValueError as exc:
-        raise ParseError(f"{path}: line 1: cannot parse universe size") from exc
+        raise ValidationError(f"{path}: line 1: cannot parse universe size") from exc
     points = []
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
@@ -146,30 +146,30 @@ def _scan_dataset(path: str) -> tuple[Dataset, int]:
         try:
             z = int(text)
         except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: not an integer index: {text!r}") from exc
+            raise ValidationError(f"{path}: line {lineno}: not an integer index: {text!r}") from exc
         if not (0 <= z < k):
-            raise ParseError(f"{path}: line {lineno}: index {z} outside [0, {k})")
+            raise ValidationError(f"{path}: line {lineno}: index {z} outside [0, {k})")
         points.append(z)
     if not points:
-        raise ParseError(f"{path}: dataset has no points")
+        raise ValidationError(f"{path}: dataset has no points")
     return new_dataset(points), k
 
 
 def load_distribution(path: str) -> SimplexVector:
     d = _read_json(path)
     if "values" not in d:
-        raise ParseError(f"{path}: distribution file missing field 'values'")
+        raise ValidationError(f"{path}: distribution file missing field 'values'")
     values = d["values"]
     if not isinstance(values, list):
-        raise ParseError(f"{path}: distribution values must be a list of numbers")
+        raise ValidationError(f"{path}: distribution values must be a list of numbers")
     for i, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"{path}: distribution value {x!r} at index {i} is not a number")
+            raise ValidationError(f"{path}: distribution value {x!r} at index {i} is not a number")
         if abs(x) > sys.float_info.max:
-            raise ParseError(f"{path}: distribution value at index {i} is too large for a float")
+            raise ValidationError(f"{path}: distribution value at index {i} is too large for a float")
     p = new_simplex(np.asarray(values, dtype=float))
     if "k" in d and _int_field(d, "k", path) != p.k:
-        raise ParseError(f"{path}: header k={d['k']} but {p.k} values present")
+        raise ValidationError(f"{path}: header k={d['k']} but {p.k} values present")
     return p
 
 
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except DegenerateSchedule as exc:
         print(f"error: degenerate schedule: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

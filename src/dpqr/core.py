@@ -15,14 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidAlpha,
-    InvalidParams,
-    NegativeMass,
-    NotNormalized,
-    ValidationError,
-)
+from .errors import ValidationError
 
 # Absolute tolerance on the mass total; entries in [-NEG_TOL, 0) are treated
 # as floating-point dust and clamped to zero before renormalizing.
@@ -45,15 +38,12 @@ class SimplexVector:
     def k(self) -> int:
         return self.values.shape[0]
 
-    def __len__(self) -> int:
-        return self.k
-
 
 def new_simplex(values) -> SimplexVector:
     """Validate and normalize a nonnegative vector of total mass one.
 
-    Raises NegativeMass if an entry is below -1e-12 and NotNormalized if the
-    total differs from 1 by more than 1e-9.  Entries in [-1e-12, 0) are
+    Raises ValidationError if an entry is below -1e-12 or the total
+    differs from 1 by more than 1e-9.  Entries in [-1e-12, 0) are
     clamped to zero; the result is renormalized so it sums to one exactly.
     """
     v = np.asarray(values, dtype=float)
@@ -63,10 +53,10 @@ def new_simplex(values) -> SimplexVector:
         raise ValidationError("masses must be finite")
     if np.any(v < -NEG_TOL):
         worst = float(v.min())
-        raise NegativeMass(f"entry {worst} below tolerance {-NEG_TOL}")
+        raise ValidationError(f"entry {worst} below tolerance {-NEG_TOL}")
     total = float(v.sum())
     if abs(total - 1.0) > SUM_TOL:
-        raise NotNormalized(f"mass sums to {total}, expected 1 within {SUM_TOL}")
+        raise ValidationError(f"mass sums to {total}, expected 1 within {SUM_TOL}")
     v = np.where(v < 0.0, 0.0, v)
     v = v / v.sum()
     return SimplexVector(_freeze(v))
@@ -95,7 +85,7 @@ def new_dataset(points) -> Dataset:
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("expected a nonempty 1-d array of indices")
     if np.any(p < 0):
-        raise IndexOutOfRange(f"negative index {int(p.min())}")
+        raise ValidationError(f"negative index {int(p.min())}")
     return Dataset(_freeze(p))
 
 
@@ -105,7 +95,7 @@ def empirical(data: Dataset, k: int) -> SimplexVector:
         raise ValidationError(f"universe size must be >= 1, got {k}")
     pts = data.points
     if pts.size and int(pts.max()) >= k:
-        raise IndexOutOfRange(f"index {int(pts.max())} outside universe of size {k}")
+        raise ValidationError(f"index {int(pts.max())} outside universe of size {k}")
     counts = np.bincount(pts, minlength=k).astype(float)
     return SimplexVector(_freeze(counts / pts.size))
 
@@ -216,18 +206,16 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidParams(f"epsilon must be positive, got {self.epsilon}")
+            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
-            raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
+            raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
 
 
-def as_alpha(value, positive: bool = False) -> float:
-    """Coerce alpha to a float; optionally require strict positivity."""
+def as_alpha(value) -> float:
+    """Coerce alpha to a float and require it finite and positive."""
     a = float(value)
-    if not math.isfinite(a) or a < 0.0:
-        raise InvalidAlpha(f"alpha must be a finite nonnegative real, got {a}")
-    if positive and a == 0.0:
-        raise InvalidAlpha("alpha must be strictly positive here")
+    if not (0.0 < a < math.inf):
+        raise ValidationError(f"alpha must be finite and positive, got {a}")
     return a
 
 

@@ -33,7 +33,7 @@ from .core import (
     uniform,
 )
 from .entropy import composite_prox
-from .errors import InvalidParams
+from .errors import ValidationError
 from .mechanisms import AMSchedule, NoiseStream, dpam_schedule
 from .objective import WidthEstimate, gaussian_width, max_query_error, smoothed_gradient_oracle
 from .report import RunReport
@@ -58,7 +58,7 @@ def run_dpam(
     validated.  A schedule with sigma = 0 makes the oracle the exact
     subgradient; such a run is not private.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     emp = empirical(data, workload.k)
     oracle = rng.substream("oracle")
 
@@ -89,9 +89,9 @@ def optimal_alpha(budget: PrivacyBudget, width: float, k: int, n: int) -> float:
         alpha* = sqrt(log(1/delta)) sqrt(width) / (log^{3/4}(k) sqrt(n eps))
     """
     if k < 2:
-        raise InvalidParams(f"need k >= 2, got {k}")
+        raise ValidationError(f"need k >= 2, got {k}")
     if width <= 0.0 or n < 1:
-        raise InvalidParams(f"need width > 0 and n >= 1, got {width}, {n}")
+        raise ValidationError(f"need width > 0 and n >= 1, got {width}, {n}")
     log_delta = math.log(1.0 / budget.delta)
     return math.sqrt(log_delta * width) / (math.log(k) ** 0.75 * math.sqrt(n * budget.epsilon))
 
@@ -103,9 +103,9 @@ def regime_ok(width: float, budget: PrivacyBudget, k: int, n: int) -> bool:
     warning when this fails; the run itself proceeds either way.
     """
     if k < 2:
-        raise InvalidParams(f"need k >= 2, got {k}")
+        raise ValidationError(f"need k >= 2, got {k}")
     if width <= 0.0:
-        raise InvalidParams(f"need width > 0, got {width}")
+        raise ValidationError(f"need width > 0, got {width}")
     threshold = width ** 3 * math.log(1.0 / budget.delta) / (
         budget.epsilon * math.log(k) ** 1.5
     )
@@ -133,8 +133,7 @@ def release_dpam(
     t0 = time.perf_counter()
     west: WidthEstimate = gaussian_width(workload, WIDTH_SAMPLES, rng.substream("width"))
     a = as_alpha(
-        alpha if alpha is not None else optimal_alpha(budget, west.mean, workload.k, data.n),
-        positive=True,
+        alpha if alpha is not None else optimal_alpha(budget, west.mean, workload.k, data.n)
     )
     if schedule is None:
         schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)

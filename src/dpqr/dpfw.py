@@ -27,7 +27,7 @@ from .core import (
     empirical,
 )
 from .entropy import softmax
-from .errors import InvalidParams
+from .errors import ValidationError
 from .mechanisms import FWSchedule, NoiseStream, dpfw_schedule, report_noisy_max
 from .objective import max_query_error
 from .report import RunReport
@@ -53,7 +53,7 @@ def run_dpfw(
     reads one sequence, so the values equal one ``laplace(lam, size=m)``
     draw per iteration.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     emp = empirical(data, workload.k).values
     t_total = schedule.T
     gamma = schedule.gamma
@@ -86,7 +86,7 @@ def dual_to_primal(q, alpha) -> SimplexVector:
     Strictly positive in every coordinate and invariant under shifting q by
     a constant vector.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     return softmax(as_values(q) / a)
 
 
@@ -96,9 +96,9 @@ def optimal_alpha(budget: PrivacyBudget, m_queries: int, k: int, n: int) -> floa
         alpha* = log^{1/5}(1/delta) log^{2/5}(m) / ((eps n)^{2/5} log^{4/5} k)
     """
     if k < 2 or m_queries < 2:
-        raise InvalidParams(f"need k >= 2 and m >= 2, got k={k}, m={m_queries}")
+        raise ValidationError(f"need k >= 2 and m >= 2, got k={k}, m={m_queries}")
     if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+        raise ValidationError(f"need n >= 1, got {n}")
     log_delta = math.log(1.0 / budget.delta)
     return (
         log_delta ** 0.2
@@ -126,8 +126,7 @@ def release_dpfw(
     """
     t0 = time.perf_counter()
     a = as_alpha(
-        alpha if alpha is not None else optimal_alpha(budget, workload.m, workload.k, data.n),
-        positive=True,
+        alpha if alpha is not None else optimal_alpha(budget, workload.m, workload.k, data.n)
     )
     if schedule is None:
         d1, dinf = diameters(workload)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SimplexVector, as_values, _freeze
-from .errors import AnchorHasZero, ValidationError
+from .errors import ValidationError
 
 # floor applied to prox outputs so later entropy/KL evaluations stay finite
 PROX_FLOOR = 1e-300
@@ -47,7 +47,7 @@ def composite_prox(g, anchor, A: float, B: float, C: float) -> SimplexVector:
     if g.shape != a.shape:
         raise ValidationError(f"g has shape {g.shape}, anchor {a.shape}")
     if np.any(a <= 0.0):
-        raise AnchorHasZero("prox anchor must be strictly positive")
+        raise ValidationError("prox anchor must be strictly positive")
     exponent = (-A * g - B + C * np.log(a)) / (B + C)
     out = np.maximum(softmax(exponent).values, PROX_FLOOR)
     return SimplexVector(_freeze(out / out.sum()))

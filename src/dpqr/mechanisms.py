@@ -23,15 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PrivacyBudget, as_alpha
-from .errors import (
-    DegenerateSchedule,
-    HypothesisViolated,
-    InvalidOrder,
-    InvalidParams,
-    ValidationError,
-)
+from .errors import DegenerateSchedule, HypothesisViolated, ValidationError
 
 _MASK64 = (1 << 64) - 1
+# iteration cap of both schedules; a capped schedule is flagged
+MAX_T = 1_000_000
 # keep inverse-CDF logs finite even on the measure-zero u = 0 draw
 _LOG_FLOOR = 1e-300
 
@@ -153,20 +149,20 @@ class AMSchedule:
             raise DegenerateSchedule(f"need T >= 1, got {self.T}")
         if not (0.0 <= self.sigma < math.inf):
             raise DegenerateSchedule(f"need finite sigma >= 0, got {self.sigma}")
-        if not (self.eta_offset > 0.0):
-            raise DegenerateSchedule(f"need eta_offset > 0, got {self.eta_offset}")
+        if not (0.0 < self.eta_offset < math.inf):
+            raise DegenerateSchedule(f"need finite eta_offset > 0, got {self.eta_offset}")
 
     def eta(self, t: int) -> float:
         """Step weight for iteration t (1-based)."""
         return float(t) + self.eta_offset
 
 
-def _iteration_count(t_raw: float, max_t: int) -> tuple[int, bool]:
-    """(T, capped): t_raw floored, clamped to >= 1, and capped at ``max_t``."""
+def _iteration_count(t_raw: float) -> tuple[int, bool]:
+    """(T, capped): t_raw floored, clamped to >= 1, and capped at ``MAX_T``."""
     if not math.isfinite(t_raw) or t_raw <= 0.0:
         raise DegenerateSchedule(f"iteration formula produced {t_raw}")
     t = max(1, math.floor(t_raw))
-    return min(t, max_t), t > max_t
+    return min(t, MAX_T), t > MAX_T
 
 
 def dpfw_schedule(
@@ -177,7 +173,6 @@ def dpfw_schedule(
     m_queries: int,
     n: int,
     use_inf_diameter: bool = False,
-    max_t: int = 1_000_000,
 ) -> FWSchedule:
     """Calibrate the private Frank-Wolfe run to an (epsilon, delta) budget.
 
@@ -193,20 +188,20 @@ def dpfw_schedule(
     ``report_noisy_max`` score-change range R: for z != z', a row pair's gap
     moves by at most (|(q_i - q_j)(z')| + |(q_i - q_j)(z)|) / n <= ||q_i - q_j||_1 / n.
 
-    T is floored and clamped to >= 1; gamma is clamped to <= 1 so the iterate
-    update stays a convex combination.
+    T is floored, clamped to >= 1 and capped at ``MAX_T``; gamma is clamped
+    to <= 1 so the iterate update stays a convex combination.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     if not (d1 > 0.0 and dinf > 0.0):
         raise DegenerateSchedule(f"diameters must be positive, got d1={d1}, dinf={dinf}")
     if m_queries < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m_queries}, n={n}")
+        raise ValidationError(f"need m >= 1 and n >= 1, got m={m_queries}, n={n}")
     base = dinf if use_inf_diameter else d1
     log_delta = math.log(1.0 / budget.delta)
     t_raw = (base ** 1.5) * budget.epsilon * n / (
         math.sqrt(32.0 * a * log_delta) * math.log(2.0 * m_queries)
     )
-    t, capped = _iteration_count(t_raw, max_t)
+    t, capped = _iteration_count(t_raw)
     gamma = min(1.0, 2.0 * math.sqrt(a / (t * dinf)))
     lam = 4.0 * d1 * math.sqrt(2.0 * t * log_delta) / (budget.epsilon * n)
     return FWSchedule(T=t, gamma=gamma, lam=lam, capped=capped)
@@ -218,7 +213,6 @@ def dpam_schedule(
     width: float,
     k: int,
     n: int,
-    max_t: int = 1_000_000,
 ) -> AMSchedule:
     """Calibrate the private mirror-descent run to an (epsilon, delta) budget.
 
@@ -226,23 +220,25 @@ def dpam_schedule(
         sigma = 4 sqrt(T log(1/delta)) / (n eps)
         eta_t = t + sqrt(4 / (alpha sigma)) + 1
 
-    T is floored, clamped to >= 1, and capped at ``max_t`` (flagged on the
+    T is floored, clamped to >= 1, and capped at ``MAX_T`` (flagged on the
     schedule so callers can surface a warning); sigma uses the T actually
     run, which is what the Renyi accounting consumes.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     if not (width > 0.0):
         raise DegenerateSchedule(f"width must be positive, got {width}")
     if k < 2:
-        raise InvalidParams(f"need k >= 2, got {k}")
+        raise ValidationError(f"need k >= 2, got {k}")
     if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+        raise ValidationError(f"need n >= 1, got {n}")
     log_delta = math.log(1.0 / budget.delta)
     t_raw = math.sqrt(math.log(k) / log_delta) * budget.epsilon * n / width
-    t, capped = _iteration_count(t_raw, max_t)
+    t, capped = _iteration_count(t_raw)
     sigma = 4.0 * math.sqrt(t * log_delta) / (n * budget.epsilon)
     if not sigma > 0.0:
         raise DegenerateSchedule(f"noise scale formula produced {sigma}")
+    if not a * sigma > 0.0:
+        raise DegenerateSchedule(f"alpha * sigma underflows to {a * sigma}")
     eta_offset = math.sqrt(4.0 / (a * sigma)) + 1.0
     return AMSchedule(T=t, sigma=sigma, eta_offset=eta_offset, capped=capped)
 
@@ -255,9 +251,9 @@ def advanced_composition(eps_step: float, t: int, delta: float) -> float:
     the formula value.
     """
     if eps_step < 0.0 or t < 0:
-        raise InvalidParams(f"need eps_step >= 0 and t >= 0, got {eps_step}, {t}")
+        raise ValidationError(f"need eps_step >= 0 and t >= 0, got {eps_step}, {t}")
     if not (0.0 < delta < 1.0):
-        raise InvalidParams(f"delta must lie in (0, 1), got {delta}")
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
     if t == 0:
         return 0.0
     log_delta = math.log(1.0 / delta)
@@ -274,27 +270,27 @@ def advanced_composition(eps_step: float, t: int, delta: float) -> float:
 def gaussian_rdp(beta: float, sigma: float, l2_sensitivity: float) -> float:
     """Renyi-DP epsilon of order beta for one Gaussian mechanism release."""
     if beta <= 1.0:
-        raise InvalidOrder(f"Renyi order must exceed 1, got {beta}")
+        raise ValidationError(f"Renyi order must exceed 1, got {beta}")
     if sigma <= 0.0 or l2_sensitivity < 0.0:
-        raise InvalidParams(f"need sigma > 0, sensitivity >= 0; got {sigma}, {l2_sensitivity}")
+        raise ValidationError(f"need sigma > 0, sensitivity >= 0; got {sigma}, {l2_sensitivity}")
     return beta * l2_sensitivity ** 2 / (2.0 * sigma ** 2)
 
 
 def optimal_rdp_order(t: int, n: int, sigma: float, delta: float) -> float:
     """Renyi order minimizing the converted budget of the t-step Gaussian chain."""
     if t < 1 or n < 1 or sigma <= 0.0:
-        raise InvalidParams(f"need t, n >= 1 and sigma > 0; got {t}, {n}, {sigma}")
+        raise ValidationError(f"need t, n >= 1 and sigma > 0; got {t}, {n}, {sigma}")
     if not (0.0 < delta < 1.0):
-        raise InvalidParams(f"delta must lie in (0, 1), got {delta}")
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
     return 1.0 + math.sqrt(math.log(1.0 / delta) / t) * n * sigma
 
 
 def rdp_to_dp(beta: float, eps_rdp: float, delta: float) -> float:
     """Convert (beta, eps_rdp)-RDP to (eps, delta)-DP: eps_rdp + log(1/delta)/(beta-1)."""
     if beta <= 1.0:
-        raise InvalidOrder(f"Renyi order must exceed 1, got {beta}")
+        raise ValidationError(f"Renyi order must exceed 1, got {beta}")
     if eps_rdp < 0.0:
-        raise InvalidParams(f"need eps_rdp >= 0, got {eps_rdp}")
+        raise ValidationError(f"need eps_rdp >= 0, got {eps_rdp}")
     if not (0.0 < delta < 1.0):
-        raise InvalidParams(f"delta must lie in (0, 1), got {delta}")
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
     return eps_rdp + math.log(1.0 / delta) / (beta - 1.0)

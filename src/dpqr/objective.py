@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import QueryWorkload, as_alpha, as_values
 from .entropy import softmax
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .mechanisms import NoiseStream
 
 _MC_CHUNK = 1 << 15
@@ -48,7 +48,7 @@ def _mc_mean(samples: int, draw) -> tuple[float, float]:
 
 def _check_dims(v: np.ndarray, w: QueryWorkload):
     if v.shape[0] != w.k:
-        raise DimensionMismatch(f"vector of length {v.shape[0]} vs workload k={w.k}")
+        raise ValidationError(f"vector of length {v.shape[0]} vs workload k={w.k}")
 
 
 def max_query_error(ref, candidate, w: QueryWorkload) -> float:
@@ -60,7 +60,7 @@ def max_query_error(ref, candidate, w: QueryWorkload) -> float:
     rv = as_values(ref)
     cv = as_values(candidate)
     if rv.shape != cv.shape:
-        raise DimensionMismatch(f"shape mismatch {rv.shape} vs {cv.shape}")
+        raise ValidationError(f"shape mismatch {rv.shape} vs {cv.shape}")
     diff = rv - cv
     _check_dims(diff, w)
     return float((w.queries @ diff).max())
@@ -72,7 +72,7 @@ def frank_wolfe_gap(q, ref, alpha, w: QueryWorkload) -> float:
     Nonnegative whenever q lies in the hull of the workload, and an upper
     bound on the dual suboptimality of q by concavity.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     qv = as_values(q)
     grad = as_values(ref) - softmax(qv / a).values
     _check_dims(grad, w)
@@ -110,10 +110,6 @@ class WidthEstimate:
     mean: float
     stderr: float
     samples: int
-
-    def __post_init__(self):
-        if self.stderr < 0.0 or self.samples < 1:
-            raise ValidationError("need stderr >= 0 and samples >= 1")
 
 
 def gaussian_width(w: QueryWorkload, samples: int, rng: NoiseStream) -> WidthEstimate:

@@ -15,7 +15,7 @@ from dpqr.cli import (
 from dpqr.core import new_dataset, new_simplex, new_workload, symmetrize
 from dpqr.dpfw import optimal_alpha
 from dpqr.core import PrivacyBudget
-from dpqr.errors import ParseError, ValidationError
+from dpqr.errors import ValidationError
 from dpqr.report import RunReport
 from testkit import save_distribution
 
@@ -69,7 +69,7 @@ class TestFileFormats:
     def test_workload_range_violation_names_cell(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"k": 2, "symmetric": False, "queries": [[0.5, 1.5]]}))
-        with pytest.raises(ParseError, match="row 0, column 1"):
+        with pytest.raises(ValidationError, match="row 0, column 1"):
             load_workload(str(path))
 
     def test_dataset_round_trip(self, tmp_path):
@@ -83,13 +83,13 @@ class TestFileFormats:
     def test_dataset_bad_index_names_line(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("k=3\n0\n1\n7\n")
-        with pytest.raises(ParseError, match="line 4"):
+        with pytest.raises(ValidationError, match=r"line 4: index 7 outside \[0, 3\)"):
             load_dataset(str(path))
 
     def test_dataset_missing_header(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0\n1\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1 must be a 'k=<int>' header"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize("text, message", [
@@ -110,7 +110,7 @@ class TestFileFormats:
     def test_dataset_rejections_keep_their_message(self, tmp_path, text, message):
         path = tmp_path / "d.txt"
         path.write_bytes(text.encode())
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValidationError) as exc:
             load_dataset(str(path))
         assert str(exc.value) == f"{path}: {message}"
 
@@ -302,6 +302,23 @@ class TestSubcommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "algo, alpha",
+        [("dpam", "1e-310"), ("dpam", "5e-324"), ("dpfw", "5e-324")],
+    )
+    def test_run_subnormal_alpha_exit_3(self, tmp_path, capsys, algo, alpha):
+        w, d, out = (str(tmp_path / name) for name in ("w.json", "d.txt", "r.json"))
+        assert main(["gen-workload", "--k", "16", "--m", "16", "--kind", "random_sign",
+                     "--seed", "1", "--out", w]) == 0
+        assert main(["gen-data", "--kind", "uniform", "--k", "16", "--n", "2000",
+                     "--seed", "2", "--out", d]) == 0
+        code = main(
+            ["run", "--algo", algo, "--data", d, "--workload", w, "--eps", "1.0",
+             "--delta", "1e-6", "--alpha", alpha, "--seed", "3", "--out", out]
+        )
+        assert code == 3
+        assert "degenerate schedule" in capsys.readouterr().err
+
     def test_run_mismatched_universe_exit_2(self, toy_files):
         tmp_path, wpath, _, _ = toy_files
         d3 = tmp_path / "d3.txt"
@@ -343,8 +360,8 @@ class TestSubcommands:
         [
             ("delta", 2.0, "delta must lie in (0, 1)"),
             ("delta", 0.0, "delta must lie in (0, 1)"),
-            ("alpha", -0.5, "alpha must be a finite nonnegative real"),
-            ("alpha", 0.0, "alpha must be strictly positive"),
+            ("alpha", -0.5, "alpha must be finite and positive, got -0.5"),
+            ("alpha", 0.0, "alpha must be finite and positive, got 0.0"),
             ("workers", 0, "need workers >= 1, got 0"),
             ("seed", -1, "need seed >= 0, got -1"),
             ("k", 16.7, "ExperimentPlan field 'k': expected int, got 16.7"),

@@ -16,7 +16,7 @@ from dpqr.core import (
 )
 from dpqr.dpam import optimal_alpha, regime_ok, release_dpam, run_dpam
 from dpqr.entropy import composite_prox, softmax
-from dpqr.errors import InvalidAlpha, InvalidParams
+from dpqr.errors import ValidationError
 from dpqr.mechanisms import AMSchedule, NoiseStream
 from dpqr.objective import max_query_error, smoothed_gradient_oracle
 from testkit import brute_force_prox
@@ -42,7 +42,7 @@ class TestRunDpam:
         assert np.array_equal(rows1, rows2)
 
     def test_invalid_alpha(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must be finite and positive, got 0.0"):
             run_dpam(TOY_DATA, SWAP, 0.0, NoiseStream(2, "am"), small_schedule())
 
     def test_trace_eta_structure(self):
@@ -132,7 +132,7 @@ class TestTuning:
         assert optimal_alpha(BUDGET, 5.0, 16, 1000) > optimal_alpha(BUDGET, 3.0, 16, 1000)
 
     def test_alpha_invalid(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match="need k >= 2, got 1"):
             optimal_alpha(BUDGET, 3.0, 1, 1000)
 
     def test_regime_threshold(self):

@@ -14,7 +14,7 @@ from dpqr.core import (
 )
 from dpqr.dpfw import dual_to_primal, optimal_alpha, release_dpfw, run_dpfw
 from dpqr.entropy import softmax
-from dpqr.errors import InvalidAlpha, InvalidParams
+from dpqr.errors import ValidationError
 from dpqr.mechanisms import FWSchedule, NoiseStream
 from dpqr.objective import max_query_error
 from testkit import GridSpec, fw_gaps, grid_min_primal, log_sum_exp, neg_entropy
@@ -40,7 +40,7 @@ class TestRunDpfw:
         assert out1 == out2
 
     def test_invalid_alpha(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must be finite and positive, got 0.0"):
             run_dpfw(TOY_DATA, SWAP, 0.0, NoiseStream(3, "fw"), small_schedule())
 
     def test_iterates_stay_in_hull(self):
@@ -167,7 +167,7 @@ class TestOptimalAlpha:
         assert ratio == pytest.approx(4.0 ** -0.4, rel=1e-12)
 
     def test_small_universe_rejected(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match="need k >= 2 and m >= 2, got k=1, m=10"):
             optimal_alpha(BUDGET, 10, 1, 1000)
 
 

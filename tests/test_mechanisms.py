@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from dpqr.core import PrivacyBudget
-from dpqr.errors import (
-    DegenerateSchedule,
-    HypothesisViolated,
-    InvalidAlpha,
-    InvalidOrder,
-    InvalidParams,
-    ValidationError,
-)
+from dpqr.errors import DegenerateSchedule, HypothesisViolated, ValidationError
 from dpqr.mechanisms import (
+    MAX_T,
     AMSchedule,
     FWSchedule,
     NoiseStream,
@@ -206,7 +200,7 @@ class TestSchedules:
         assert s.gamma == 1.0
 
     def test_fw_invalid(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must be finite and positive, got 0.0"):
             dpfw_schedule(BUDGET, 0.0, 2.0, 2.0, 10, 1000)
         with pytest.raises(DegenerateSchedule):
             dpfw_schedule(BUDGET, 0.1, 0.0, 2.0, 10, 1000)
@@ -217,8 +211,8 @@ class TestSchedules:
             FWSchedule(T=20, gamma=0.3, lam=lam)
 
     def test_fw_cap(self):
-        s = dpfw_schedule(BUDGET, 0.1, 2.0, 2.0, 10, 10**9, max_t=1000)
-        assert s.T == 1000 and s.capped
+        s = dpfw_schedule(BUDGET, 0.1, 2.0, 2.0, 10, 10**9)
+        assert s.T == MAX_T and s.capped
 
     def test_am_hand_values(self):
         s = dpam_schedule(BUDGET, 0.05, width=3.0, k=16, n=10_000)
@@ -233,8 +227,8 @@ class TestSchedules:
         assert all(b >= a for a, b in zip(etas, etas[1:]))
 
     def test_am_cap_flag(self):
-        s = dpam_schedule(BUDGET, 0.5, width=0.01, k=8, n=10**9, max_t=5000)
-        assert s.T == 5000 and s.capped
+        s = dpam_schedule(BUDGET, 0.5, width=0.01, k=8, n=10**9)
+        assert s.T == MAX_T and s.capped
 
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_am_noise_scale_must_be_finite(self, sigma):
@@ -242,12 +236,26 @@ class TestSchedules:
             AMSchedule(T=20, sigma=sigma, eta_offset=1.0)
 
     def test_am_invalid(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match="need k >= 2, got 1"):
             dpam_schedule(BUDGET, 0.5, width=2.0, k=1, n=100)
         with pytest.raises(DegenerateSchedule):
             dpam_schedule(BUDGET, 0.5, width=math.inf, k=8, n=100)
         with pytest.raises(DegenerateSchedule):
             dpam_schedule(BUDGET, 0.5, width=0.0, k=8, n=100)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(1e-310, "need finite eta_offset > 0, got inf"), (5e-324, r"alpha \* sigma underflows")],
+        ids=["1e-310", "5e-324"],
+    )
+    def test_am_subnormal_alpha_degenerates(self, alpha, message):
+        # 4 / (alpha sigma) overflows at 1e-310; alpha sigma underflows to 0 at 5e-324
+        with pytest.raises(DegenerateSchedule, match=message):
+            dpam_schedule(BUDGET, alpha, width=3.0, k=16, n=2000)
+
+    def test_am_eta_offset_must_be_finite(self):
+        with pytest.raises(DegenerateSchedule):
+            AMSchedule(T=1, sigma=1.0, eta_offset=math.inf)
 
 
 class TestComposition:
@@ -294,7 +302,7 @@ class TestRdp:
         assert rdp_to_dp(2.0, 0.0, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_order(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(ValidationError, match="Renyi order must exceed 1, got 1.0"):
             rdp_to_dp(1.0, 1.0, 0.01)
 
     def test_am_budget_closure(self):

@@ -2,9 +2,10 @@
 
 ``dpqr/__init__.py`` exports only the names a release and an experiment
 need; the demos import everything else from its submodule.  Every module
-of the package is loaded by ``import dpqr`` or by ``dpqr.cli``, and every
+of the package is loaded by ``import dpqr`` or by ``dpqr.cli``, every
 public function and class in it has a caller in the package or in the
-benchmark.
+benchmark, every optional parameter is set by one of those callers, and
+the error types are flat.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import dpqr
+from dpqr import errors
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # demos 01 and 05 take over ten seconds each, so only their imports run
@@ -89,6 +91,79 @@ def test_every_public_function_has_a_caller():
     for path in PERFBENCH.glob("*.py"):
         called |= _referenced(ast.parse(path.read_text()))
     assert public - called - NO_CALLER_YET == set()
+
+
+def _optional_parameters(tree) -> set[tuple[str, str, int | None]]:
+    """(name, parameter, positional index or None) of every parameter with a
+    default on a public function or method; ``__init__`` goes by its class's
+    name, and a method's index does not count ``self`` or ``cls``."""
+    found = set()
+
+    def add(name, args, bound):
+        pos = args.posonlyargs + args.args
+        first = len(pos) - len(args.defaults)
+        found.update((name, a.arg, i - bound) for i, a in enumerate(pos) if i >= first)
+        found.update(
+            (name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        )
+
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            add(stmt.name, stmt.args, 0)
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    add(stmt.name if item.name == "__init__" else item.name, item.args, not static)
+    return found
+
+
+def _set_by_calls(tree) -> tuple[set[str], set[tuple[str, int]]]:
+    """Keywords that calls pass, and (callee name, index) of their positional arguments."""
+    keywords, positional = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keywords.update(kw.arg for kw in node.keywords if kw.arg)
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            positional.update((name, i) for i in range(len(node.args)))
+    return keywords, positional
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # a default that only tests override is an option nobody uses: the
+    # tests should reach that behaviour through the package's own inputs
+    optional, keywords, positional = set(), set(), set()
+    for path in (Path(SRC) / "dpqr").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        optional |= _optional_parameters(tree)
+        kw, pos = _set_by_calls(tree)
+        keywords |= kw
+        positional |= pos
+    for path in PERFBENCH.glob("*.py"):
+        kw, pos = _set_by_calls(ast.parse(path.read_text()))
+        keywords |= kw
+        positional |= pos
+    unset = {
+        (name, param) for name, param, index in optional
+        if param not in keywords and (name, index) not in positional
+    }
+    assert unset == set()
+
+
+def test_error_types_are_flat():
+    # one type per outcome a caller handles differently; a subclass comes
+    # together with the caller that catches it
+    own = {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert {cls.__name__ for cls in own if own & set(cls.__mro__[1:])} == set()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -5,7 +5,7 @@ import pytest
 
 from dpqr.core import new_simplex, new_workload, symmetrize, uniform
 from dpqr.entropy import softmax
-from dpqr.errors import DimensionMismatch
+from dpqr.errors import ValidationError
 from dpqr.mechanisms import NoiseStream
 from dpqr.objective import (
     frank_wolfe_gap,
@@ -48,7 +48,7 @@ class TestPrimal:
             assert primal_objective(d, ref, w) == pytest.approx(expected, abs=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"shape mismatch \(2,\) vs \(3,\)"):
             primal_objective([0.5, 0.25, 0.25], [0.5, 0.5], SWAP)
 
     def test_convex_and_lipschitz(self):

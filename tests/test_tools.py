@@ -18,9 +18,14 @@ def test_cli_outputs_lists_every_file_it_writes(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    listing = [line.split("  ") for line in proc.stdout.splitlines()]
+    lines = [line.split("  ") for line in proc.stdout.splitlines()]
+    files = [line for line in lines if len(line) == 2]
     # 2 inputs, 3 workloads, 2 datasets, 18 reports, 1 sample, 2 bench results
-    assert len(listing) == 28
-    for digest, name in listing:
+    assert len(files) == 28
+    for digest, name in files:
         path = tmp_path / "out" / name
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # every failing command ends in a documented exit code, not a traceback
+    failures = {name: outcome for outcome, _, name in (line for line in lines if len(line) == 3)}
+    assert len(failures) == len(lines) - len(files) == 21
+    assert {name: code for name, code in failures.items() if code not in ("2", "3")} == {}

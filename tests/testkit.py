@@ -23,7 +23,7 @@ from dpqr.core import (
     Dataset, QueryWorkload, SimplexVector, as_alpha, as_values, empirical, new_simplex,
 )
 from dpqr.entropy import softmax
-from dpqr.errors import AnchorHasZero, DimensionMismatch, ValidationError
+from dpqr.errors import ValidationError
 from dpqr.mechanisms import FWSchedule, NoiseStream
 from dpqr.objective import _check_dims, _mc_mean, frank_wolfe_gap, max_query_error
 
@@ -154,6 +154,14 @@ def brute_force_prox(g, anchor, A: float, B: float, C: float, iters: int = 50_00
     raise NonConvergence(f"prox oracle did not stagnate within {iters} iterations")
 
 
+def _alpha_or_zero(alpha) -> float:
+    """alpha as a float; the primal references also take alpha = 0 (no entropy term)."""
+    a = float(alpha)
+    if not (0.0 <= a < math.inf):
+        raise ValidationError(f"alpha must be finite and nonnegative, got {a}")
+    return a
+
+
 def primal_grid_bound(grid: GridSpec, alpha) -> float:
     """Covering slack of the primal grid value over the true minimum.
 
@@ -161,7 +169,7 @@ def primal_grid_bound(grid: GridSpec, alpha) -> float:
     entropy coordinate moves by at most delta (1 + log(1/delta)), summing to
     at most 2k (1 + log res) / res across the rounding of one point.
     """
-    a = as_alpha(alpha)
+    a = _alpha_or_zero(alpha)
     res, k = grid.resolution, grid.k
     return k / res + a * 2.0 * k * (1.0 + math.log(res)) / res
 
@@ -177,7 +185,7 @@ def dual_grid_bound(grid: GridSpec) -> float:
 
 def grid_min_primal(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[SimplexVector, float]:
     """Exhaustive minimizer of the entropy-regularized primal over a simplex grid."""
-    a = as_alpha(alpha)
+    a = _alpha_or_zero(alpha)
     if grid.k != w.k:
         raise ValidationError(f"grid dimension {grid.k} vs workload k={w.k}")
     rv = as_values(ref)
@@ -204,7 +212,7 @@ def grid_max_dual(ref, w: QueryWorkload, alpha, grid: GridSpec) -> tuple[np.ndar
     so the grid lives on the m-dimensional simplex.  Returns the maximizing
     weights and the dual value; the dual vector is ``weights @ w.queries``.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     if grid.k != w.m:
         raise ValidationError(f"grid dimension {grid.k} vs workload m={w.m}")
     rv = as_values(ref)
@@ -251,7 +259,7 @@ def kl_divergence(d, anchor) -> float:
         raise ValidationError(f"shape mismatch {dv.shape} vs {av.shape}")
     pos = dv > 0.0
     if np.any(av[pos] == 0.0):
-        raise AnchorHasZero("anchor has zero mass where d does not")
+        raise ValidationError("anchor has zero mass where d does not")
     return float(np.sum(dv[pos] * (np.log(dv[pos]) - np.log(av[pos]))))
 
 
@@ -309,17 +317,17 @@ def save_distribution(p: SimplexVector, path: str):
 
 def regularized_primal(d, ref, w: QueryWorkload, alpha) -> float:
     """primal_objective(d) plus alpha times the negative entropy of d."""
-    a = as_alpha(alpha)
+    a = _alpha_or_zero(alpha)
     return primal_objective(d, ref, w) + a * neg_entropy(d)
 
 
 def regularized_dual(q, ref, alpha) -> float:
     """<q, ref> - alpha logsumexp(q / alpha); concave, 2-Lipschitz in q."""
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     qv = as_values(q)
     rv = as_values(ref)
     if qv.shape != rv.shape:
-        raise DimensionMismatch(f"shape mismatch {qv.shape} vs {rv.shape}")
+        raise ValidationError(f"shape mismatch {qv.shape} vs {rv.shape}")
     return float(qv @ rv) - a * log_sum_exp(qv / a)
 
 
@@ -328,9 +336,9 @@ def empirical_dual_gradient(q, emp, alpha) -> np.ndarray:
 
     Equals emp - softmax(q / alpha); its coordinates sum to zero.
     """
-    a = as_alpha(alpha, positive=True)
+    a = as_alpha(alpha)
     qv = as_values(q)
     ev = as_values(emp)
     if qv.shape != ev.shape:
-        raise DimensionMismatch(f"shape mismatch {qv.shape} vs {ev.shape}")
+        raise ValidationError(f"shape mismatch {qv.shape} vs {ev.shape}")
     return ev - softmax(qv / a).values
