@@ -22,9 +22,9 @@ print("\nlog-sum-exp is the conjugate; softmax is its gradient:")
 y = np.array([1.0, -0.5, 0.25])
 lse = y.max() + np.log(np.sum(np.exp(y - y.max())))
 print(f"  lse({y}) = {lse:.6f}")
-print(f"  softmax(y) = {softmax(y).values.round(6)}")
+print(f"  softmax(y) = {softmax(y).round(6)}")
 print(f"  shifting y by a constant leaves softmax unchanged: "
-      f"{np.allclose(softmax(y).values, softmax(y + 10).values)}")
+      f"{np.allclose(softmax(y), softmax(y + 10))}")
 
 print("\nKL divergence is the Bregman divergence of H:")
 d = new_simplex([0.5, 0.3, 0.2])
@@ -41,7 +41,7 @@ rng = np.random.default_rng(1)
 A, B, C = 3.0, 0.8, 2.5
 g = rng.uniform(-1, 1, 3)
 anchor = new_simplex([0.5, 0.25, 0.25])
-closed = composite_prox(g, anchor, A, B, C).values
+closed = composite_prox(g, anchor, A, B, C)  # a float array
 stationary = A * g + (B + C) * np.log(closed) - C * np.log(anchor.values)
 print("\ncomposite prox, closed form:", closed.round(8))
 print(f"optimality condition, spread across coordinates: {np.ptp(stationary):.1e}")

@@ -36,13 +36,14 @@ for sigma in (0.02, 0.1, 0.4):
     print(f"{sigma:5.2f}    {mean:.4f} +- {3 * se:.4f}       {abs(mean - phi):.4f}"
           f"                {sigma * width.mean:.4f}")
 
-# the oracle averages to the smoothed gradient
+# the oracle averages to the smoothed gradient; it takes its noise row
+# xi ~ N(0, sigma^2 I) from the caller, so all rows are drawn up front
 sigma = 0.3
 draws = 50_000
-stream = rng.substream("oracle")
+noise = rng.substream("oracle").gaussian(sigma, size=(draws, k))
 grads = np.empty((draws, k))
-for i in range(draws):
-    grads[i], _ = smoothed_gradient_oracle(d, target, workload, sigma, stream)
+for i, xi in enumerate(noise):
+    grads[i], _ = smoothed_gradient_oracle(d, target, workload, xi)
 mean_grad = grads.mean(axis=0)
 se = grads.std(axis=0, ddof=1) / math.sqrt(draws)
 print(f"\nmean oracle gradient at sigma={sigma} (+- 3 stderr):")

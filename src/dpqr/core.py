@@ -209,6 +209,8 @@ class PrivacyBudget:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
+        if not math.isfinite(1.0 / self.delta):  # every calibration takes log(1/delta)
+            raise ValidationError(f"1/delta overflows at delta={self.delta}")
 
 
 def as_alpha(value) -> float:

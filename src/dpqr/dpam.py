@@ -33,8 +33,8 @@ from .core import (
     uniform,
 )
 from .entropy import composite_prox
-from .errors import ValidationError
-from .mechanisms import AMSchedule, NoiseStream, dpam_schedule
+from .errors import DegenerateSchedule, ValidationError
+from .mechanisms import NOISE_BLOCK, AMSchedule, NoiseStream, dpam_schedule
 from .objective import WidthEstimate, gaussian_width, max_query_error, smoothed_gradient_oracle
 from .report import RunReport
 
@@ -54,32 +54,39 @@ def run_dpam(
     The prox step runs the step rule on the alpha-normalized objective,
     scaling both the entropy and divergence weights by alpha so the
     effective step on the gradient is of order 2/(alpha t), the right scale
-    for an alpha-strongly-convex composite.  Only the returned aggregate is
-    validated.  A schedule with sigma = 0 makes the oracle the exact
-    subgradient; such a run is not private.
+    for an alpha-strongly-convex composite.  The oracle noise is drawn from
+    the "oracle" substream a block of iterations at a time, one row of k
+    values per iteration; the stream reads one sequence, so the values equal
+    one ``gaussian(sigma, size=k)`` draw per iteration.  Only the returned
+    aggregate is validated, and a non-finite one raises DegenerateSchedule.
+    A schedule with sigma = 0 makes the oracle the exact subgradient; such a
+    run is not private.
     """
     a = as_alpha(alpha)
-    emp = empirical(data, workload.k)
+    k = workload.k
+    emp = empirical(data, k).values
     oracle = rng.substream("oracle")
+    block = max(1, NOISE_BLOCK // k)
 
     t_total = schedule.T
-    current = uniform(workload.k)
-    aggregate = current.values.copy()
+    current = uniform(k).values
+    aggregate = current.copy()
     eta_cum = 0.0
     picked = np.empty(t_total, dtype=np.int64)
 
-    for t in range(1, t_total + 1):
-        eta_t = schedule.eta(t)
-        denom = eta_cum + eta_t
-        midpoint = (eta_cum / denom) * aggregate + (eta_t / denom) * current.values
-        g, picked[t - 1] = smoothed_gradient_oracle(
-            midpoint, emp, workload, schedule.sigma, oracle
-        )
-        nxt = composite_prox(g, current, eta_t, eta_t * a, eta_cum * a)
-        aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt.values
-        current = nxt
-        eta_cum = denom
+    for start in range(0, t_total, block):
+        noise = oracle.gaussian(schedule.sigma, size=(min(block, t_total - start), k))
+        for t, xi in enumerate(noise, start + 1):
+            eta_t = schedule.eta(t)
+            denom = eta_cum + eta_t
+            midpoint = (eta_cum / denom) * aggregate + (eta_t / denom) * current
+            g, picked[t - 1] = smoothed_gradient_oracle(midpoint, emp, workload, xi)
+            current = composite_prox(g, current, eta_t, eta_t * a, eta_cum * a)
+            aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * current
+            eta_cum = denom
 
+    if not np.isfinite(aggregate).all():
+        raise DegenerateSchedule(f"DPAM aggregate is not finite at alpha={a}")
     return new_simplex(aggregate), picked
 
 

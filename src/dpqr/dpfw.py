@@ -25,15 +25,13 @@ from .core import (
     as_values,
     diameters,
     empirical,
+    _freeze,
 )
 from .entropy import softmax
-from .errors import ValidationError
-from .mechanisms import FWSchedule, NoiseStream, dpfw_schedule, report_noisy_max
+from .errors import DegenerateSchedule, ValidationError
+from .mechanisms import NOISE_BLOCK, FWSchedule, NoiseStream, dpfw_schedule, report_noisy_max
 from .objective import max_query_error
 from .report import RunReport
-
-# Laplace values drawn per call in run_dpfw (64 KiB of float64)
-_NOISE_BLOCK = 1 << 13
 
 
 def run_dpfw(
@@ -51,15 +49,20 @@ def run_dpfw(
     The selection noise is drawn from the "rnm" substream a block of
     iterations at a time, one row of m values per iteration; the stream
     reads one sequence, so the values equal one ``laplace(lam, size=m)``
-    draw per iteration.
+    draw per iteration.  Raises DegenerateSchedule before the first
+    iteration when max |q| / alpha overflows: every softmax of q / alpha
+    would then be NaN.
     """
     a = as_alpha(alpha)
     emp = empirical(data, workload.k).values
     t_total = schedule.T
     gamma = schedule.gamma
     rows = workload.queries
+    # two reductions, no full-size |rows| temporary
+    if not math.isfinite(float(max(rows.max(), -rows.min())) / a):
+        raise DegenerateSchedule(f"max |q| / alpha overflows at alpha={a}")
     m = rows.shape[0]
-    block = max(1, _NOISE_BLOCK // m)
+    block = max(1, NOISE_BLOCK // m)
     rnm = rng.substream("rnm")
     out_index = int(rng.substream("output").integers(t_total))
 
@@ -71,7 +74,7 @@ def run_dpfw(
         for t, row_noise in enumerate(noise, start):
             if t == out_index:
                 q_out = q.copy()
-            grad = emp - softmax(q / a).values
+            grad = emp - softmax(q / a)
             scores = rows @ grad
             i = report_noisy_max(scores, row_noise)
             picked[t] = i
@@ -84,10 +87,14 @@ def dual_to_primal(q, alpha) -> SimplexVector:
     """Distribution minimizing <q, -d> + alpha H(d): the softmax of q / alpha.
 
     Strictly positive in every coordinate and invariant under shifting q by
-    a constant vector.
+    a constant vector.  Raises DegenerateSchedule, rather than return it,
+    when the softmax is not finite.
     """
     a = as_alpha(alpha)
-    return softmax(as_values(q) / a)
+    p = softmax(as_values(q) / a)
+    if not np.isfinite(p).all():
+        raise DegenerateSchedule(f"softmax of q / alpha is not finite at alpha={a}")
+    return SimplexVector(_freeze(p))
 
 
 def optimal_alpha(budget: PrivacyBudget, m_queries: int, k: int, n: int) -> float:

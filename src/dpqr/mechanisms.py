@@ -28,6 +28,9 @@ from .errors import DegenerateSchedule, HypothesisViolated, ValidationError
 _MASK64 = (1 << 64) - 1
 # iteration cap of both schedules; a capped schedule is flagged
 MAX_T = 1_000_000
+# noise values each solver draws per call, a block of iterations at a time
+# (64 KiB of float64)
+NOISE_BLOCK = 1 << 13
 # keep inverse-CDF logs finite even on the measure-zero u = 0 draw
 _LOG_FLOOR = 1e-300
 
@@ -108,7 +111,7 @@ def report_noisy_max(scores, noise) -> int:
         raise ValidationError("expected a nonempty 1-d score array")
     if np.shape(noise) != s.shape:
         raise ValidationError(f"noise shape {np.shape(noise)} differs from scores {s.shape}")
-    return int(np.argmax(s + noise))
+    return int((s + noise).argmax())
 
 
 @dataclass(frozen=True)

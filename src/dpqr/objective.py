@@ -74,32 +74,28 @@ def frank_wolfe_gap(q, ref, alpha, w: QueryWorkload) -> float:
     """
     a = as_alpha(alpha)
     qv = as_values(q)
-    grad = as_values(ref) - softmax(qv / a).values
+    grad = as_values(ref) - softmax(qv / a)
     _check_dims(grad, w)
     return float((w.queries @ grad).max() - grad @ qv)
 
 
-def smoothed_gradient_oracle(
-    d,
-    emp,
-    w: QueryWorkload,
-    sigma: float,
-    rng: NoiseStream,
-) -> tuple[np.ndarray, int]:
+def smoothed_gradient_oracle(d, emp, w: QueryWorkload, xi) -> tuple[np.ndarray, int]:
     """Stochastic gradient of the Gaussian-smoothed primal at d.
 
-    Draws xi ~ N(0, sigma^2 I), scans the rows for the maximizer of
-    <q, emp - d + xi>, and returns (the negated winning row, its index): the
-    row is a descent direction for the smoothed objective.  Ties (a null
-    event for sigma > 0) resolve to the lowest row index.  At sigma = 0 the
-    draw is exact zeros and the oracle is the exact subgradient of a
-    non-private run.
+    ``xi`` is the oracle's noise row, one N(0, sigma^2) value per coordinate
+    of d, and must have d's shape.  It does not depend on the data, so a
+    caller may draw it ahead of the scan (DPAM draws a block of iterations at
+    a time).  Scans the rows for the maximizer of <q, emp - d + xi> and
+    returns (the negated winning row, its index): the row is a descent
+    direction for the smoothed objective.  Ties (a null event for sigma > 0)
+    resolve to the lowest row index.  A row of zeros (sigma = 0) makes the
+    oracle the exact subgradient of a non-private run.
     """
     dv = as_values(d)
     _check_dims(dv, w)
-    xi = rng.gaussian(sigma, size=w.k)
-    scores = w.queries @ (as_values(emp) - dv + xi)
-    row = int(np.argmax(scores))
+    if np.shape(xi) != dv.shape:
+        raise ValidationError(f"noise shape {np.shape(xi)} differs from d {dv.shape}")
+    row = int((w.queries @ (as_values(emp) - dv + xi)).argmax())
     return -w.queries[row], row
 
 

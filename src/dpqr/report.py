@@ -84,7 +84,9 @@ def from_record(cls, d: dict):
 class RunReport:
     """Inputs digest, schedule, output distribution, and diagnostics of a run.
 
-    ``p_priv`` always validates as a distribution; ``population_max_error``
+    ``p_priv`` of a release is finite, since both releases raise
+    DegenerateSchedule rather than return a non-finite distribution, and
+    ``from_dict`` validates it as a distribution.  ``population_max_error``
     is present only when the caller supplied the true generating
     distribution (synthetic benchmarks).  ``p_priv`` and
     ``per_query_answers`` are float arrays (8 bytes a value, against about 32

@@ -78,7 +78,7 @@ def test_criterion_01_prox_closed_form():
             anchor=new_simplex(rng.dirichlet(np.ones(3))),
         )
         gap = float(
-            np.abs(composite_prox(**prob).values - brute_force_prox(**prob).values).max()
+            np.abs(composite_prox(**prob) - brute_force_prox(**prob).values).max()
         )
         worst = max(worst, gap)
     elapsed = time.time() - t0
@@ -175,7 +175,7 @@ def test_criterion_05_oracle_unbiasedness():
     stream = NoiseStream(1050, "oracle-mc")
     grads = np.empty((n_draws, 4))
     for i in range(n_draws):
-        grads[i], _ = smoothed_gradient_oracle(d, emp, w, sigma, stream)
+        grads[i], _ = smoothed_gradient_oracle(d, emp, w, stream.gaussian(sigma, size=4))
     primal_mean = grads.mean(axis=0)
     primal_se = grads.std(axis=0, ddof=1) / math.sqrt(n_draws)
 

@@ -304,7 +304,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "algo, alpha",
-        [("dpam", "1e-310"), ("dpam", "5e-324"), ("dpfw", "5e-324")],
+        [("dpam", "1e-310"), ("dpam", "5e-324"), ("dpfw", "1e-310"), ("dpfw", "5e-324")],
     )
     def test_run_subnormal_alpha_exit_3(self, tmp_path, capsys, algo, alpha):
         w, d, out = (str(tmp_path / name) for name in ("w.json", "d.txt", "r.json"))

@@ -203,6 +203,13 @@ class TestBudgetAndDual:
         with pytest.raises(ValidationError, match=r"delta must lie in \(0, 1\), got 1.0"):
             PrivacyBudget(1.0, 1.0)
 
+    def test_budget_refuses_delta_whose_inverse_overflows(self):
+        # the message names delta, not the alpha a calibration would derive from it
+        PrivacyBudget(1.0, 1e-300)
+        for tiny in (5e-324, 1e-310):
+            with pytest.raises(ValidationError, match=f"1/delta overflows at delta={tiny}"):
+                PrivacyBudget(1.0, tiny)
+
     def test_as_alpha(self):
         from dpqr.core import as_alpha
 

@@ -16,7 +16,7 @@ from dpqr.core import (
 )
 from dpqr.dpam import optimal_alpha, regime_ok, release_dpam, run_dpam
 from dpqr.entropy import composite_prox, softmax
-from dpqr.errors import ValidationError
+from dpqr.errors import DegenerateSchedule, ValidationError
 from dpqr.mechanisms import AMSchedule, NoiseStream
 from dpqr.objective import max_query_error, smoothed_gradient_oracle
 from testkit import brute_force_prox
@@ -45,6 +45,54 @@ class TestRunDpam:
         with pytest.raises(ValidationError, match="alpha must be finite and positive, got 0.0"):
             run_dpam(TOY_DATA, SWAP, 0.0, NoiseStream(2, "am"), small_schedule())
 
+    @pytest.mark.parametrize("alpha", [1e-310, 1.7e308])
+    def test_non_finite_aggregate_refused(self, alpha):
+        # at 1e-310 the prox exponent overflows to +-inf, at 1.7e308 the weights
+        # alpha * eta do; either way the output is NaN, raised and not renormalized
+        with pytest.raises(DegenerateSchedule, match="DPAM aggregate is not finite"):
+            run_dpam(
+                TOY_DATA, SWAP, alpha, NoiseStream(2, "am"),
+                AMSchedule(T=5, sigma=0.1, eta_offset=2.0),
+            )
+
+    @pytest.mark.parametrize(
+        "m, k, t, sigma",
+        [
+            (8, 4, 5000, 0.3),  # blocks of 2048 iterations: two full, one of 904
+            (4, 8200, 5, 3.0),  # k > 8192: one iteration per block
+            (8, 4, 300, 0.0),
+        ],
+    )
+    def test_picks_match_per_iteration_draws(self, m, k, t, sigma):
+        # blocked noise reads the same values as one gaussian(sigma, size=k)
+        # draw per iteration from the "oracle" substream
+        alpha = 0.5
+        gen = np.random.default_rng(m + k + t)
+        w = new_workload(gen.uniform(-1.0, 1.0, size=(m, k)))
+        data = new_dataset(gen.integers(0, k, size=200))
+        sched = AMSchedule(T=t, sigma=sigma, eta_offset=5.0)
+        priv, picked = run_dpam(data, w, alpha, NoiseStream(29, "am"), sched)
+
+        emp = empirical(data, k).values
+        oracle = NoiseStream(29, "am").substream("oracle")
+        current = uniform(k).values
+        aggregate = current.copy()
+        eta_cum = 0.0
+        replay = []
+        for step in range(1, t + 1):
+            eta_t = sched.eta(step)
+            denom = eta_cum + eta_t
+            mid = (eta_cum / denom) * aggregate + (eta_t / denom) * current
+            i = int(np.argmax(w.queries @ (emp - mid + oracle.gaussian(sigma, size=k))))
+            replay.append(i)
+            current = composite_prox(-w.queries[i], current, eta_t, eta_t * alpha, eta_cum * alpha)
+            aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * current
+            eta_cum = denom
+        assert picked.tolist() == replay
+        assert priv.values.tobytes() == new_simplex(aggregate).values.tobytes()
+        if sigma > 0.0:
+            assert len(set(replay)) > 1
+
     def test_trace_eta_structure(self):
         sched = small_schedule(t=40)
         _, rows = run_dpam(TOY_DATA, SWAP, 0.5, NoiseStream(3, "am"), sched)
@@ -56,18 +104,18 @@ class TestRunDpam:
         alpha = 0.5
         sched = small_schedule(t=50, alpha=alpha)
         priv, rows = run_dpam(TOY_DATA, SWAP, alpha, NoiseStream(4, "am"), sched)
-        current = uniform(2)
-        aggregate = current.values.copy()
+        current = uniform(2).values
+        aggregate = current.copy()
         eta_cum = 0.0
         for t in range(1, len(rows) + 1):
             eta_t = sched.eta(t)
             denom = eta_cum + eta_t
-            mid = (eta_cum / denom) * aggregate + (eta_t / denom) * current.values
+            mid = (eta_cum / denom) * aggregate + (eta_t / denom) * current
             assert mid.min() >= 0 and mid.sum() == pytest.approx(1.0, abs=1e-9)
             g = -SWAP.queries[rows[t - 1]]
             nxt = composite_prox(g, current, eta_t, eta_t * alpha, eta_cum * alpha)
-            assert nxt.values.min() > 0
-            aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt.values
+            assert nxt.min() > 0
+            aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * nxt
             current = nxt
             eta_cum = denom
         assert np.abs(aggregate - priv.values).max() < 1e-12
@@ -97,7 +145,7 @@ class TestRunDpam:
             cum = float(rng.uniform(1, 200))
             prox = composite_prox(g, anchor, A=eta_t, B=0.0, C=cum)
             mirror = softmax(np.log(anchor.values) - (eta_t / cum) * g)
-            assert np.abs(prox.values - mirror.values).max() < 1e-12
+            assert np.abs(prox - mirror).max() < 1e-12
 
     def test_prox_step_matches_brute_force(self):
         # the full composite step of one iteration against the numerical
@@ -111,11 +159,11 @@ class TestRunDpam:
         eta_cum = 0.0
         for t in range(1, 9):
             eta_t = t + 10.0
-            g, _ = smoothed_gradient_oracle(anchor, emp, w3, 0.2, stream)
+            g, _ = smoothed_gradient_oracle(anchor, emp, w3, stream.gaussian(0.2, size=3))
             prob = dict(A=eta_t, B=eta_t * alpha, C=eta_cum * alpha, g=g, anchor=anchor)
             closed = composite_prox(**prob)
             brute = brute_force_prox(**prob)
-            assert np.abs(closed.values - brute.values).max() < 1e-6
+            assert np.abs(closed - brute.values).max() < 1e-6
             anchor = closed
             eta_cum += eta_t
 

@@ -14,7 +14,7 @@ from dpqr.core import (
 )
 from dpqr.dpfw import dual_to_primal, optimal_alpha, release_dpfw, run_dpfw
 from dpqr.entropy import softmax
-from dpqr.errors import ValidationError
+from dpqr.errors import DegenerateSchedule, ValidationError
 from dpqr.mechanisms import FWSchedule, NoiseStream
 from dpqr.objective import max_query_error
 from testkit import GridSpec, fw_gaps, grid_min_primal, log_sum_exp, neg_entropy
@@ -42,6 +42,22 @@ class TestRunDpfw:
     def test_invalid_alpha(self):
         with pytest.raises(ValidationError, match="alpha must be finite and positive, got 0.0"):
             run_dpfw(TOY_DATA, SWAP, 0.0, NoiseStream(3, "fw"), small_schedule())
+
+    def test_subnormal_alpha_refused_before_the_loop(self):
+        # 1 / 1e-310 overflows, so every softmax of q / alpha would be NaN
+        with pytest.raises(DegenerateSchedule, match=r"max \|q\| / alpha overflows"):
+            run_dpfw(TOY_DATA, SWAP, 1e-310, NoiseStream(3, "fw"), small_schedule(t=5))
+        with pytest.raises(DegenerateSchedule, match=r"max \|q\| / alpha overflows"):
+            release_dpfw(
+                TOY_DATA, SWAP, BUDGET, NoiseStream(3, "fw"), alpha=1e-310,
+                schedule=small_schedule(t=5),
+            )
+        # 1 / 1e-308 is finite, and the release is a valid distribution
+        report = release_dpfw(
+            TOY_DATA, SWAP, BUDGET, NoiseStream(3, "fw"), alpha=1e-308,
+            schedule=small_schedule(t=5),
+        )
+        new_simplex(report.p_priv)
 
     def test_iterates_stay_in_hull(self):
         # replay the update from the selections: every iterate is a convex
@@ -100,7 +116,7 @@ class TestRunDpfw:
         q = w.queries[0].copy()
         replay = []
         for _ in range(t):
-            scores = w.queries @ (emp - softmax(q / 0.5).values)
+            scores = w.queries @ (emp - softmax(q / 0.5))
             i = int(np.argmax(scores + rnm.laplace(lam, size=m)))
             replay.append(i)
             q += sched.gamma * (w.queries[i] - q)
@@ -120,6 +136,11 @@ class TestDualToPrimal:
             p = p / p.sum()
             out = dual_to_primal(alpha * np.log(p), alpha)
             assert np.abs(out.values - p).max() < 1e-12
+
+    def test_non_finite_output_refused(self):
+        # inf - inf inside the softmax: the map raises rather than return NaN
+        with pytest.raises(DegenerateSchedule, match="softmax of q / alpha is not finite"):
+            dual_to_primal(np.array([math.inf, 0.0]), 1.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)

@@ -54,17 +54,17 @@ class TestLogSumExp:
 
 class TestSoftmax:
     def test_zeros_to_uniform(self):
-        assert np.allclose(softmax(np.zeros(4)).values, 0.25)
+        assert np.allclose(softmax(np.zeros(4)), 0.25)
 
     def test_forced_ratio(self):
-        assert np.allclose(softmax(np.array([0.0, math.log(3)])).values, [0.25, 0.75])
+        assert np.allclose(softmax(np.array([0.0, math.log(3)])), [0.25, 0.75])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             y = rng.normal(size=5)
-            a = softmax(y).values
-            b = softmax(y + 7.0).values
+            a = softmax(y)
+            b = softmax(y + 7.0)
             assert np.allclose(a, b, atol=1e-12)
 
     def test_fenchel_pair_on_grid(self):
@@ -78,7 +78,7 @@ class TestSoftmax:
             best = float(vals.max())
             assert log_sum_exp(y) == pytest.approx(best, abs=3 / 200 * (2 + 6))
             d_best = grid[int(np.argmax(vals))]
-            assert np.abs(softmax(y).values - d_best).max() < 2 * 3 / 200 * 4
+            assert np.abs(softmax(y) - d_best).max() < 2 * 3 / 200 * 4
 
 
 class TestKL:
@@ -111,9 +111,9 @@ class TestKL:
 class TestCompositeProx:
     def test_pure_entropy_gives_uniform(self):
         p = dict(A=1.0, B=1.0, C=0.0, g=np.zeros(3), anchor=uniform(3))
-        assert np.allclose(composite_prox(**p).values, 1 / 3, atol=1e-12)
+        assert np.allclose(composite_prox(**p), 1 / 3, atol=1e-12)
         p = dict(A=0.0, B=2.5, C=0.0, g=np.ones(4), anchor=uniform(4))
-        assert np.allclose(composite_prox(**p).values, 0.25, atol=1e-12)
+        assert np.allclose(composite_prox(**p), 0.25, atol=1e-12)
 
     def test_c_zero_matches_softmax(self):
         rng = np.random.default_rng(5)
@@ -123,14 +123,14 @@ class TestCompositeProx:
             b_coef = float(rng.uniform(0.1, 4))
             g = rng.uniform(-1, 1, size=k)
             p = dict(A=a_coef, B=b_coef, C=0.0, g=g, anchor=uniform(k))
-            direct = softmax(-(a_coef / b_coef) * g - 1.0).values
-            assert np.abs(composite_prox(**p).values - direct).max() < 1e-12
+            direct = softmax(-(a_coef / b_coef) * g - 1.0)
+            assert np.abs(composite_prox(**p) - direct).max() < 1e-12
 
     def test_strictly_positive(self):
         p = dict(
             A=50.0, B=0.01, C=0.0, g=np.array([1.0, -1.0, 0.0]), anchor=uniform(3)
         )
-        out = composite_prox(**p).values
+        out = composite_prox(**p)
         assert np.all(out > 0.0)
 
     def test_invalid_weights_rejected(self):

@@ -188,7 +188,7 @@ class TestFrankWolfeGap:
         ref = new_simplex(rng.dirichlet(np.ones(2)))
         alpha = 0.5
         q = random_hull_point(w, rng)
-        grad = ref.values - softmax(q / alpha).values
+        grad = ref.values - softmax(q / alpha)
         ts = np.linspace(0.0, 1.0, 4001)[:, None]
         hull = ts * w.queries[0][None, :] + (1 - ts) * w.queries[1][None, :]
         brute = float((hull @ grad).max() - grad @ q)
@@ -198,14 +198,24 @@ class TestFrankWolfeGap:
 class TestSmoothedOracle:
     def test_zero_noise_picks_argmax(self):
         emp = new_simplex([0.9, 0.1])
-        grad, row = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.0, NoiseStream(0, "o"))
+        grad, row = smoothed_gradient_oracle(uniform(2), emp, SWAP, np.zeros(2))
         assert row == 0  # row (1,-1) scores highest against emp - d
         assert np.allclose(grad, -SWAP.queries[0])
 
+    def test_noise_row_must_match_d(self):
+        emp = new_simplex([0.6, 0.4])
+        with pytest.raises(ValidationError, match=r"noise shape \(3,\) differs from d \(2,\)"):
+            smoothed_gradient_oracle(uniform(2), emp, SWAP, np.zeros(3))
+        with pytest.raises(ValidationError, match=r"noise shape \(1, 2\) differs from d \(2,\)"):
+            smoothed_gradient_oracle(uniform(2), emp, SWAP, np.zeros((1, 2)))
+        with pytest.raises(ValidationError, match="vector of length 3 vs workload k=2"):
+            smoothed_gradient_oracle(uniform(3), uniform(3), SWAP, np.zeros(3))
+
     def test_deterministic_per_stream(self):
         emp = new_simplex([0.6, 0.4])
-        ga, ra = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
-        gb, rb = smoothed_gradient_oracle(uniform(2), emp, SWAP, 0.3, NoiseStream(5, "o"))
+        xa, xb = (NoiseStream(5, "o").gaussian(0.3, size=2) for _ in range(2))
+        ga, ra = smoothed_gradient_oracle(uniform(2), emp, SWAP, xa)
+        gb, rb = smoothed_gradient_oracle(uniform(2), emp, SWAP, xb)
         assert np.array_equal(ga, gb) and ra == rb
 
     def test_unbiased_against_dual_estimator(self):
@@ -221,7 +231,7 @@ class TestSmoothedOracle:
         stream = NoiseStream(13, "oracle-mc")
         grads = np.empty((n_draws, 3))
         for i in range(n_draws):
-            grads[i], _ = smoothed_gradient_oracle(d, emp, w, sigma, stream)
+            grads[i], _ = smoothed_gradient_oracle(d, emp, w, stream.gaussian(sigma, size=3))
         primal_mean = grads.mean(axis=0)
         primal_se = grads.std(axis=0, ddof=1) / math.sqrt(n_draws)
 
@@ -241,10 +251,8 @@ class TestSmoothedOracle:
         w = symmetrize(new_workload(rng.uniform(-1, 1, size=(4, 3))))
         emp = new_simplex(rng.dirichlet(np.ones(3)))
         d = new_simplex(rng.dirichlet(np.ones(3)))
-        stream = NoiseStream(15, "oracle-var")
-        grads = np.array(
-            [smoothed_gradient_oracle(d, emp, w, 0.4, stream)[0] for _ in range(5000)]
-        )
+        noise = NoiseStream(15, "oracle-var").gaussian(0.4, size=(5000, 3))
+        grads = np.array([smoothed_gradient_oracle(d, emp, w, xi)[0] for xi in noise])
         center = grads.mean(axis=0)
         dev = np.abs(grads - center).max(axis=1) ** 2
         assert dev.mean() <= 4.0 + 0.1

@@ -85,7 +85,7 @@ class TestBruteForceProx:
                 g=rng.uniform(-1, 1, size=3),
                 anchor=new_simplex(rng.dirichlet(np.ones(3))),
             )
-            assert np.abs(brute_force_prox(**p).values - composite_prox(**p).values).max() < 1e-6
+            assert np.abs(brute_force_prox(**p).values - composite_prox(**p)).max() < 1e-6
 
 
 class TestPrimalGrid:

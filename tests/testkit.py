@@ -341,4 +341,4 @@ def empirical_dual_gradient(q, emp, alpha) -> np.ndarray:
     ev = as_values(emp)
     if qv.shape != ev.shape:
         raise ValidationError(f"shape mismatch {qv.shape} vs {ev.shape}")
-    return ev - softmax(qv / a).values
+    return ev - softmax(qv / a)
