@@ -48,9 +48,7 @@ def composite_prox(g, anchor, A: float, B: float, C: float) -> np.ndarray:
     a = as_values(anchor)
     if g.shape != a.shape:
         raise ValidationError(f"g has shape {g.shape}, anchor {a.shape}")
-    # fmin skips NaN entries, so this is np.any(a <= 0.0) without the boolean
-    # temporary; an empty anchor goes on to softmax's own check
-    if a.size and np.fmin.reduce(a) <= 0.0:
+    if (a <= 0.0).any():
         raise ValidationError("prox anchor must be strictly positive")
     exponent = (-A * g - B + C * np.log(a)) / (B + C)
     out = softmax(exponent)

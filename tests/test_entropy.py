@@ -138,6 +138,11 @@ class TestCompositeProx:
             composite_prox(A=1.0, B=0.0, C=0.0, g=np.zeros(2), anchor=uniform(2))
         with pytest.raises(ValidationError, match="prox anchor must be strictly positive"):
             composite_prox(A=1.0, B=1.0, C=1.0, g=np.zeros(2), anchor=new_simplex([1.0, 0.0]))
+        # a NaN entry does not hide a nonpositive one; an empty anchor fails in softmax
+        with pytest.raises(ValidationError, match="prox anchor must be strictly positive"):
+            composite_prox(A=1.0, B=1.0, C=1.0, g=np.zeros(2), anchor=np.array([np.nan, -1.0]))
+        with pytest.raises(ValidationError, match="softmax of an empty array"):
+            composite_prox(A=1.0, B=1.0, C=1.0, g=np.zeros(0), anchor=np.zeros(0))
 
     def test_negative_entropy_weight_rejected(self):
         # B + C > 0 is not enough: each weight must be nonnegative
