@@ -33,6 +33,7 @@ from .core import (
     new_workload,
     symmetrize,
     uniform,
+    _sylvester_rows,
 )
 from .dpam import release_dpam
 from .dpfw import release_dpfw
@@ -91,9 +92,7 @@ def gen_workload(k: int, m: int, kind: str, rng: NoiseStream) -> QueryWorkload:
         d = int(arg) if arg else int(round(math.log2(k)))
         if k != 2 ** d:
             raise ValidationError(f"parities({d}) needs k = {2 ** d}, got {k}")
-        z = np.arange(k)
-        rows = np.where(np.bitwise_count(np.bitwise_and.outer(z, z)) % 2 == 0, 1.0, -1.0)
-        return symmetrize(new_workload(rows))
+        return symmetrize(new_workload(_sylvester_rows(np.arange(k), k)))
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     if name == "random_sign":

@@ -9,9 +9,9 @@ types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -133,6 +133,54 @@ class QueryWorkload:
         """
         keys = set(_row_keys(self.queries))
         return all(key in keys for key in _row_keys(self.queries, negate=True))
+
+    @cached_property
+    def _hadamard_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Kronecker factors (H_a, H_b) of H when the rows are exactly [H; -H],
+        H the 2^d x 2^d Sylvester-Hadamard matrix, else None.
+        """
+        q = self.queries
+        m, k = q.shape
+        d = k.bit_length() - 1
+        # row 0 of H is all ones: most other workloads stop here
+        if k != 1 << d or m != 2 * k or q[0].min() != 1.0:
+            return None
+        step = max(1, (1 << 17) // k)  # compare ~1 MiB of rows at a time
+        for lo in range(0, k, step):
+            hi = min(k, lo + step)
+            h = _sylvester_rows(np.arange(lo, hi), k)
+            if not (np.array_equal(q[lo:hi], h) and np.array_equal(q[k + lo : k + hi], -h)):
+                return None
+        a, b = 1 << d // 2, 1 << (d + 1) // 2
+        return _sylvester_rows(np.arange(a), a), _sylvester_rows(np.arange(b), b)
+
+    @cached_property
+    def scan(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``w.scan(g)``: the scores ``queries @ g``, up to rounding, for selection only.
+
+        A parity workload [H; -H] with k = 2^d is scanned in O(k log k):
+        H g = (H_a G H_b).ravel() for G = g.reshape(2^floor(d/2), 2^ceil(d/2)),
+        since H = H_a (x) H_b.  Its scores can differ from the dense product
+        in the last bits, so they feed an argmax and nothing that is
+        reported; every other workload takes the dense product.  The layout
+        is detected from the rows on first use and the chosen function
+        cached, as ``symmetric`` is.
+        """
+        factors = self._hadamard_factors
+        if factors is None:
+            return partial(np.matmul, self.queries)
+        return partial(_hadamard_scan, *factors)
+
+
+def _sylvester_rows(i: np.ndarray, k: int) -> np.ndarray:
+    """Rows i of the k x k Sylvester-Hadamard matrix: (-1)^popcount(i & j)."""
+    return 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(i, np.arange(k))) & 1)
+
+
+def _hadamard_scan(h_a: np.ndarray, h_b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[H; -H] @ g for H = H_a (x) H_b."""
+    s = (h_a @ g.reshape(h_a.shape[0], h_b.shape[0]) @ h_b).ravel()
+    return np.concatenate((s, -s))
 
 
 def new_workload(queries) -> QueryWorkload:

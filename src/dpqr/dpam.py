@@ -58,17 +58,20 @@ def run_dpam(
     the "oracle" substream a block of iterations at a time, one row of k
     values per iteration; the stream reads one sequence, so the values equal
     one ``gaussian(sigma, size=k)`` draw per iteration.  Only the returned
-    aggregate is validated, and a non-finite one raises DegenerateSchedule.
-    A schedule with sigma = 0 makes the oracle the exact subgradient; such a
-    run is not private.
+    aggregate is validated, and a non-finite one raises DegenerateSchedule;
+    so does, before the first iteration, an alpha whose prox weights
+    alpha * (sum of eta_t) overflow.  A schedule with sigma = 0 makes the
+    oracle the exact subgradient; such a run is not private.
     """
     a = as_alpha(alpha)
+    t_total = schedule.T
+    if not math.isfinite(a * (t_total * (t_total + 1) / 2 + t_total * schedule.eta_offset)):
+        raise DegenerateSchedule(f"alpha * sum of eta overflows at alpha={a}")
     k = workload.k
     emp = empirical(data, k).values
     oracle = rng.substream("oracle")
     block = max(1, NOISE_BLOCK // k)
 
-    t_total = schedule.T
     current = uniform(k).values
     aggregate = current.copy()
     eta_cum = 0.0
@@ -135,20 +138,22 @@ def release_dpam(
     iteration count, noise scale, and default regularization strength, and
     is recorded in the report together with the regime flag.  ``no_noise``
     runs the schedule with sigma = 0: the run is NOT private and the report
-    is flagged accordingly.
+    is flagged accordingly.  Floating-point warnings are silenced: every
+    non-finite outcome is refused with DegenerateSchedule instead.
     """
     t0 = time.perf_counter()
-    west: WidthEstimate = gaussian_width(workload, WIDTH_SAMPLES, rng.substream("width"))
-    a = as_alpha(
-        alpha if alpha is not None else optimal_alpha(budget, west.mean, workload.k, data.n)
-    )
-    if schedule is None:
-        schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)
-    if no_noise:
-        schedule = replace(schedule, sigma=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        west: WidthEstimate = gaussian_width(workload, WIDTH_SAMPLES, rng.substream("width"))
+        a = as_alpha(
+            alpha if alpha is not None else optimal_alpha(budget, west.mean, workload.k, data.n)
+        )
+        if schedule is None:
+            schedule = dpam_schedule(budget, a, west.mean, workload.k, data.n)
+        if no_noise:
+            schedule = replace(schedule, sigma=0.0)
 
-    p_priv, _ = run_dpam(data, workload, a, rng, schedule)
-    solved = time.perf_counter()
+        p_priv, _ = run_dpam(data, workload, a, rng, schedule)
+        solved = time.perf_counter()
     emp = empirical(data, workload.k)
     return RunReport.of_release(
         algorithm="dpam", data=data, workload=workload, budget=budget, alpha=a, rng=rng,

@@ -61,6 +61,7 @@ def run_dpfw(
     # two reductions, no full-size |rows| temporary
     if not math.isfinite(float(max(rows.max(), -rows.min())) / a):
         raise DegenerateSchedule(f"max |q| / alpha overflows at alpha={a}")
+    scan = workload.scan
     m = rows.shape[0]
     block = max(1, NOISE_BLOCK // m)
     rnm = rng.substream("rnm")
@@ -75,7 +76,7 @@ def run_dpfw(
             if t == out_index:
                 q_out = q.copy()
             grad = emp - softmax(q / a)
-            scores = rows @ grad
+            scores = scan(grad)
             i = report_noisy_max(scores, row_noise)
             picked[t] = i
             q += gamma * (rows[i] - q)
@@ -129,23 +130,25 @@ def release_dpfw(
 
     ``no_noise`` runs the schedule with lam = 0: the run is NOT private and
     the report is flagged accordingly.  ``true_dist`` adds the population max
-    error for synthetic benchmarks.
+    error for synthetic benchmarks.  Floating-point warnings are silenced:
+    every non-finite outcome is refused with DegenerateSchedule instead.
     """
     t0 = time.perf_counter()
-    a = as_alpha(
-        alpha if alpha is not None else optimal_alpha(budget, workload.m, workload.k, data.n)
-    )
-    if schedule is None:
-        d1, dinf = diameters(workload)
-        schedule = dpfw_schedule(
-            budget, a, d1, dinf, workload.m, data.n, use_inf_diameter=use_inf_diameter
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = as_alpha(
+            alpha if alpha is not None else optimal_alpha(budget, workload.m, workload.k, data.n)
         )
-    if no_noise:
-        schedule = replace(schedule, lam=0.0)
+        if schedule is None:
+            d1, dinf = diameters(workload)
+            schedule = dpfw_schedule(
+                budget, a, d1, dinf, workload.m, data.n, use_inf_diameter=use_inf_diameter
+            )
+        if no_noise:
+            schedule = replace(schedule, lam=0.0)
 
-    q_out, _, out_index = run_dpfw(data, workload, a, rng, schedule)
-    solved = time.perf_counter()
-    p_priv = dual_to_primal(q_out, a)
+        q_out, _, out_index = run_dpfw(data, workload, a, rng, schedule)
+        solved = time.perf_counter()
+        p_priv = dual_to_primal(q_out, a)
     emp = empirical(data, workload.k)
     return RunReport.of_release(
         algorithm="dpfw", data=data, workload=workload, budget=budget, alpha=a, rng=rng,

@@ -95,7 +95,7 @@ def smoothed_gradient_oracle(d, emp, w: QueryWorkload, xi) -> tuple[np.ndarray, 
     _check_dims(dv, w)
     if np.shape(xi) != dv.shape:
         raise ValidationError(f"noise shape {np.shape(xi)} differs from d {dv.shape}")
-    row = int((w.queries @ (as_values(emp) - dv + xi)).argmax())
+    row = int(w.scan(as_values(emp) - dv + xi).argmax())
     return -w.queries[row], row
 
 
@@ -112,8 +112,15 @@ def gaussian_width(w: QueryWorkload, samples: int, rng: NoiseStream) -> WidthEst
     """E[max over rows of <q, xi>] for standard normal xi, with its standard error."""
     if samples < 2:
         raise ValidationError(f"need samples >= 2, got {samples}")
+    # ~1 MiB of products at a time; the stream reads one sequence, so the
+    # draws do not depend on the step
+    step = max(1, (1 << 17) // w.m)
+
     def draw(chunk):
-        return (rng.gaussian(1.0, size=(chunk, w.k)) @ w.queries.T).max(axis=1)
+        return np.concatenate([
+            (rng.gaussian(1.0, size=(min(step, chunk - lo), w.k)) @ w.queries.T).max(axis=1)
+            for lo in range(0, chunk, step)
+        ])
 
     mean, stderr = _mc_mean(samples, draw)
     return WidthEstimate(mean=mean, stderr=stderr, samples=samples)

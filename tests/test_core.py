@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpqr.bench import gen_workload
-from dpqr.cli import load_workload
+from dpqr.cli import load_workload, save_workload
 from dpqr.core import (
     PrivacyBudget,
     QueryWorkload,
@@ -191,6 +191,34 @@ class TestDiametersAgainstScan:
             base = np.round(rng.uniform(0, 1, size=k), int(rng.integers(1, 4)))
             rows = [rng.permutation(base) for _ in range(int(rng.integers(2, 6)))]
             self._assert_matches(symmetrize(new_workload(rows)))
+
+
+class TestScan:
+    """``QueryWorkload.scan``: the Hadamard transform on [H; -H], else the dense product."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_parities_agree_with_dense(self, d):
+        w = gen_workload(2**d, 2**d, f"parities({d})", NoiseStream(0, "w"))
+        assert w._hadamard_factors is not None
+        for g in np.random.default_rng(d).standard_normal((3, w.k)):
+            s, dense = w.scan(g), w.queries @ g
+            assert np.abs(s - dense).max() <= 1e-12 * np.abs(g).sum()
+            assert s.argmax() == dense.argmax()
+
+    def test_other_rows_take_the_dense_product(self):
+        sign = gen_workload(16, 16, "random_sign", NoiseStream(4, "w"))
+        assert (sign.m, sign.k) == (32, 16)
+        q = gen_workload(64, 64, "parities(6)", NoiseStream(0, "w")).queries.copy()
+        q[[3, 40]] = q[[40, 3]]
+        for w in (sign, new_workload(q)):
+            assert w._hadamard_factors is None
+            g = np.random.default_rng(w.k).standard_normal(w.k)
+            assert np.array_equal(w.scan(g), w.queries @ g)
+
+    def test_workload_file_keeps_the_transform(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_workload(gen_workload(32, 32, "parities(5)", NoiseStream(0, "w")), str(path))
+        assert load_workload(str(path))._hadamard_factors is not None
 
 
 class TestBudgetAndDual:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from dpqr.bench import gen_distribution, gen_workload, sample_dataset
 from dpqr.core import (
     PrivacyBudget,
+    QueryWorkload,
     empirical,
     new_dataset,
     new_simplex,
@@ -14,6 +16,7 @@ from dpqr.core import (
     symmetrize,
     uniform,
 )
+import dpqr.dpam
 from dpqr.dpam import optimal_alpha, regime_ok, release_dpam, run_dpam
 from dpqr.entropy import composite_prox, softmax
 from dpqr.errors import DegenerateSchedule, ValidationError
@@ -47,13 +50,46 @@ class TestRunDpam:
 
     @pytest.mark.parametrize("alpha", [1e-310, 1.7e308])
     def test_non_finite_aggregate_refused(self, alpha):
-        # at 1e-310 the prox exponent overflows to +-inf, at 1.7e308 the weights
-        # alpha * eta do; either way the output is NaN, raised and not renormalized
-        with pytest.raises(DegenerateSchedule, match="DPAM aggregate is not finite"):
+        # at 1e-310 the prox exponent overflows to +-inf, so the output is NaN,
+        # raised and not renormalized; at 1.7e308 the weights alpha * eta would
+        # overflow, which is refused before the first iteration
+        match = "DPAM aggregate is not finite" if alpha < 1.0 else r"alpha \* sum of eta overflows"
+        with pytest.raises(DegenerateSchedule, match=match):
             run_dpam(
                 TOY_DATA, SWAP, alpha, NoiseStream(2, "am"),
                 AMSchedule(T=5, sigma=0.1, eta_offset=2.0),
             )
+
+    def test_overflowing_alpha_refused_before_the_loop(self, monkeypatch):
+        # the calibrated schedule's alpha * sum of eta overflows: no prox step
+        # runs, and no floating-point warning is printed
+        calls = []
+        monkeypatch.setattr(
+            dpqr.dpam, "composite_prox", lambda *args: calls.append(args) or composite_prox(*args)
+        )
+        rng = NoiseStream(5, "inst")
+        w = gen_workload(16, 16, "random_sign", rng.substream("q"))
+        data = sample_dataset(uniform(16), 2000, rng.substream("d"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSchedule, match=r"alpha \* sum of eta overflows"):
+                release_dpam(data, w, BUDGET, NoiseStream(1, "rel"), alpha=1.7e308)
+        assert calls == []
+
+    def test_parity_scan_matches_dense(self, monkeypatch):
+        # the Hadamard scan feeds only the argmax: picks and output equal a
+        # run whose scores are the dense product
+        rng = NoiseStream(32, "inst")
+        w = gen_workload(128, 128, "parities(7)", rng.substream("q"))
+        target = gen_distribution(128, "dirichlet(0.5)", rng.substream("p"))
+        data = sample_dataset(target, 3000, rng.substream("d"))
+        sched = AMSchedule(T=300, sigma=0.01, eta_offset=5.0)
+        fast = run_dpam(data, w, 0.1, NoiseStream(8, "am"), sched)
+        monkeypatch.setattr(QueryWorkload, "_hadamard_factors", None)
+        dense = run_dpam(data, new_workload(w.queries), 0.1, NoiseStream(8, "am"), sched)
+        assert w._hadamard_factors is not None
+        assert np.array_equal(fast[1], dense[1]) and len(set(fast[1].tolist())) > 1
+        assert fast[0].values.tobytes() == dense[0].values.tobytes()
 
     @pytest.mark.parametrize(
         "m, k, t, sigma",

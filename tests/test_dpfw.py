@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dpqr.bench import gen_distribution, gen_workload, sample_dataset
 from dpqr.core import (
     PrivacyBudget,
+    QueryWorkload,
     empirical,
     new_dataset,
     new_simplex,
@@ -57,6 +60,17 @@ class TestRunDpfw:
             TOY_DATA, SWAP, BUDGET, NoiseStream(3, "fw"), alpha=1e-308,
             schedule=small_schedule(t=5),
         )
+        new_simplex(report.p_priv)
+
+    def test_tiny_alpha_release_is_silent(self):
+        # q / 1e-308 is finite but softmax's shift overflows; the release is
+        # valid and prints no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = release_dpfw(
+                TOY_DATA, SWAP, BUDGET, NoiseStream(3, "fw"), alpha=1e-308,
+                schedule=small_schedule(t=5),
+            )
         new_simplex(report.p_priv)
 
     def test_iterates_stay_in_hull(self):
@@ -123,6 +137,22 @@ class TestRunDpfw:
         assert picked.tolist() == replay
         if lam > 0.0:
             assert len(set(replay)) > 1
+
+    @pytest.mark.parametrize("lam", [0.02, 0.0])
+    def test_parity_scan_matches_dense(self, monkeypatch, lam):
+        # the Hadamard scan feeds only the argmax: picks and output equal a
+        # run whose scores are the dense product
+        rng = NoiseStream(31, "inst")
+        w = gen_workload(128, 128, "parities(7)", rng.substream("q"))
+        target = gen_distribution(128, "dirichlet(0.5)", rng.substream("p"))
+        data = sample_dataset(target, 3000, rng.substream("d"))
+        sched = FWSchedule(T=400, gamma=0.02, lam=lam)
+        fast = run_dpfw(data, w, 0.1, NoiseStream(8, "fw"), sched)
+        monkeypatch.setattr(QueryWorkload, "_hadamard_factors", None)
+        dense = run_dpfw(data, new_workload(w.queries), 0.1, NoiseStream(8, "fw"), sched)
+        assert w._hadamard_factors is not None
+        assert np.array_equal(fast[1], dense[1]) and len(set(fast[1].tolist())) > 1
+        assert fast[0].tobytes() == dense[0].tobytes() and fast[2] == dense[2]
 
 
 class TestDualToPrimal:

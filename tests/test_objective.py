@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpqr.bench import gen_workload
 from dpqr.core import new_simplex, new_workload, symmetrize, uniform
 from dpqr.entropy import softmax
 from dpqr.errors import ValidationError
@@ -275,6 +276,17 @@ class TestGaussianWidth:
         oracle = np.abs(np.random.default_rng(123).standard_normal((1_000_000, 2))).max(axis=1)
         otol = 3 * (oracle.std(ddof=1) / 1000.0)
         assert abs(est.mean - oracle.mean()) <= 3 * est.stderr + otol
+
+    @pytest.mark.parametrize(
+        "k, m, kind", [(512, 512, "parities(9)"), (16, 16, "random_sign"), (64, 512, "random_box")]
+    )
+    def test_row_blocks_match_one_product(self, k, m, kind):
+        # the estimate multiplies ~1 MiB of rows at a time; the maxima equal
+        # those of one (samples x m) product bit for bit
+        w = gen_workload(k, m, kind, NoiseStream(5, "w"))
+        est = gaussian_width(w, 1000, NoiseStream(19, "w"))
+        xi = NoiseStream(19, "w").gaussian(1.0, size=(1000, w.k))
+        assert est.mean == float((xi @ w.queries.T).max(axis=1).sum()) / 1000
 
 
 class TestSmoothedPrimalMc:
