@@ -34,7 +34,7 @@ from .core import (
 )
 from .entropy import composite_prox
 from .errors import DegenerateSchedule, ValidationError
-from .mechanisms import NOISE_BLOCK, AMSchedule, NoiseStream, dpam_schedule
+from .mechanisms import AMSchedule, NoiseStream, dpam_schedule, noise_rows
 from .objective import WidthEstimate, gaussian_width, max_query_error, smoothed_gradient_oracle
 from .report import RunReport
 
@@ -54,14 +54,13 @@ def run_dpam(
     The prox step runs the step rule on the alpha-normalized objective,
     scaling both the entropy and divergence weights by alpha so the
     effective step on the gradient is of order 2/(alpha t), the right scale
-    for an alpha-strongly-convex composite.  The oracle noise is drawn from
-    the "oracle" substream a block of iterations at a time, one row of k
-    values per iteration; the stream reads one sequence, so the values equal
-    one ``gaussian(sigma, size=k)`` draw per iteration.  Only the returned
-    aggregate is validated, and a non-finite one raises DegenerateSchedule;
-    so does, before the first iteration, an alpha whose prox weights
-    alpha * (sum of eta_t) overflow.  A schedule with sigma = 0 makes the
-    oracle the exact subgradient; such a run is not private.
+    for an alpha-strongly-convex composite.  The oracle noise is one
+    N(0, sigma^2) row of k values per iteration, from ``noise_rows`` on the
+    "oracle" substream.  Only the returned aggregate is validated, and a
+    non-finite one raises DegenerateSchedule; so does, before the first
+    iteration, an alpha whose prox weights alpha * (sum of eta_t) overflow.
+    A schedule with sigma = 0 makes the oracle the exact subgradient; such a
+    run is not private.
     """
     a = as_alpha(alpha)
     t_total = schedule.T
@@ -69,24 +68,21 @@ def run_dpam(
         raise DegenerateSchedule(f"alpha * sum of eta overflows at alpha={a}")
     k = workload.k
     emp = empirical(data, k).values
-    oracle = rng.substream("oracle")
-    block = max(1, NOISE_BLOCK // k)
+    noise = noise_rows(rng.substream("oracle").gaussian, schedule.sigma, t_total, k)
 
     current = uniform(k).values
     aggregate = current.copy()
     eta_cum = 0.0
     picked = np.empty(t_total, dtype=np.int64)
 
-    for start in range(0, t_total, block):
-        noise = oracle.gaussian(schedule.sigma, size=(min(block, t_total - start), k))
-        for t, xi in enumerate(noise, start + 1):
-            eta_t = schedule.eta(t)
-            denom = eta_cum + eta_t
-            midpoint = (eta_cum / denom) * aggregate + (eta_t / denom) * current
-            g, picked[t - 1] = smoothed_gradient_oracle(midpoint, emp, workload, xi)
-            current = composite_prox(g, current, eta_t, eta_t * a, eta_cum * a)
-            aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * current
-            eta_cum = denom
+    for t, xi in enumerate(noise, 1):
+        eta_t = schedule.eta(t)
+        denom = eta_cum + eta_t
+        midpoint = (eta_cum / denom) * aggregate + (eta_t / denom) * current
+        g, picked[t - 1] = smoothed_gradient_oracle(midpoint, emp, workload, xi)
+        current = composite_prox(g, current, eta_t, eta_t * a, eta_cum * a)
+        aggregate = (eta_cum / denom) * aggregate + (eta_t / denom) * current
+        eta_cum = denom
 
     if not np.isfinite(aggregate).all():
         raise DegenerateSchedule(f"DPAM aggregate is not finite at alpha={a}")

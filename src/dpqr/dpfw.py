@@ -29,7 +29,7 @@ from .core import (
 )
 from .entropy import softmax
 from .errors import DegenerateSchedule, ValidationError
-from .mechanisms import NOISE_BLOCK, FWSchedule, NoiseStream, dpfw_schedule, report_noisy_max
+from .mechanisms import FWSchedule, NoiseStream, dpfw_schedule, noise_rows, report_noisy_max
 from .objective import max_query_error
 from .report import RunReport
 
@@ -46,12 +46,10 @@ def run_dpfw(
     Returns (dual vector of the output iterate, row selected at each
     iteration, output index).  Iterate t is replayed from the selections
     by q_0 = rows[0] and q_{t+1} = q_t + gamma (rows[picked[t]] - q_t).
-    The selection noise is drawn from the "rnm" substream a block of
-    iterations at a time, one row of m values per iteration; the stream
-    reads one sequence, so the values equal one ``laplace(lam, size=m)``
-    draw per iteration.  Raises DegenerateSchedule before the first
-    iteration when max |q| / alpha overflows: every softmax of q / alpha
-    would then be NaN.
+    The selection noise is one Laplace(lam) row of m values per iteration,
+    from ``noise_rows`` on the "rnm" substream.  Raises DegenerateSchedule
+    before the first iteration when max |q| / alpha overflows: every softmax
+    of q / alpha would then be NaN.
     """
     a = as_alpha(alpha)
     emp = empirical(data, workload.k).values
@@ -62,24 +60,20 @@ def run_dpfw(
     if not math.isfinite(float(max(rows.max(), -rows.min())) / a):
         raise DegenerateSchedule(f"max |q| / alpha overflows at alpha={a}")
     scan = workload.scan
-    m = rows.shape[0]
-    block = max(1, NOISE_BLOCK // m)
-    rnm = rng.substream("rnm")
+    noise = noise_rows(rng.substream("rnm").laplace, schedule.lam, t_total, rows.shape[0])
     out_index = int(rng.substream("output").integers(t_total))
 
     q = rows[0].copy()
     picked = np.empty(t_total, dtype=np.int64)
 
-    for start in range(0, t_total, block):
-        noise = rnm.laplace(schedule.lam, size=(min(block, t_total - start), m))
-        for t, row_noise in enumerate(noise, start):
-            if t == out_index:
-                q_out = q.copy()
-            grad = emp - softmax(q / a)
-            scores = scan(grad)
-            i = report_noisy_max(scores, row_noise)
-            picked[t] = i
-            q += gamma * (rows[i] - q)
+    for t, row_noise in enumerate(noise):
+        if t == out_index:
+            q_out = q.copy()
+        grad = emp - softmax(q / a)
+        scores = scan(grad)
+        i = report_noisy_max(scores, row_noise)
+        picked[t] = i
+        q += gamma * (rows[i] - q)
 
     return q_out, picked, out_index
 

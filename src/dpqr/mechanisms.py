@@ -28,9 +28,9 @@ from .errors import DegenerateSchedule, HypothesisViolated, ValidationError
 _MASK64 = (1 << 64) - 1
 # iteration cap of both schedules; a capped schedule is flagged
 MAX_T = 1_000_000
-# noise values each solver draws per call, a block of iterations at a time
+# noise values ``noise_rows`` draws per call, a block of rows at a time
 # (64 KiB of float64)
-NOISE_BLOCK = 1 << 13
+_NOISE_BLOCK = 1 << 13
 # keep inverse-CDF logs finite even on the measure-zero u = 0 draw
 _LOG_FLOOR = 1e-300
 
@@ -94,13 +94,28 @@ class NoiseStream:
         return f"NoiseStream(seed={self.seed}, label={self.label!r})"
 
 
+def noise_rows(draw, scale: float, count: int, width: int):
+    """Yield ``count`` noise rows of ``width`` values, drawn a block at a time.
+
+    ``draw`` is a stream's draw method (``laplace`` or ``gaussian``), called
+    as ``draw(scale, size=(b, width))`` for blocks of about 8,192 values,
+    whole rows and at least one.  A stream reads one sequence, so the rows
+    equal one ``draw(scale, size=width)`` call per row.  This is the layout
+    of the per-iteration noise of both solvers, and so of their seeded
+    outputs.
+    """
+    block = max(1, _NOISE_BLOCK // width)
+    for start in range(0, count, block):
+        yield from draw(scale, size=(min(block, count - start), width))
+
+
 def report_noisy_max(scores, noise) -> int:
     """Index of the largest score after adding its row of Laplace noise.
 
     ``noise`` holds one i.i.d. Laplace(scale) value per score, in row order,
     and must have the shape of ``scores``.  It does not depend on the data, so
-    a caller may draw it ahead of the scores (DPFW draws a block of iterations
-    at a time) and the mechanism is the same.  The selection is (R/scale)-DP
+    a caller may draw it ahead of the scores (DPFW takes it from
+    ``noise_rows``) and the mechanism is the same.  The selection is (R/scale)-DP
     when R bounds the range max_i ds_i - min_i ds_i of the per-row score
     change ds between neighbouring inputs: argmax is shift-invariant, so a
     per-score sensitivity bound L gives only R <= 2L.  Exact ties (certain at
@@ -161,8 +176,12 @@ class AMSchedule:
 
 
 def _iteration_count(t_raw: float) -> tuple[int, bool]:
-    """(T, capped): t_raw floored, clamped to >= 1, and capped at ``MAX_T``."""
-    if not math.isfinite(t_raw) or t_raw <= 0.0:
+    """(T, capped): t_raw floored, clamped to >= 1, and capped at ``MAX_T``.
+
+    An underflowed 0.0 is clamped like any value below one; only a
+    non-finite value is refused.
+    """
+    if not math.isfinite(t_raw):
         raise DegenerateSchedule(f"iteration formula produced {t_raw}")
     t = max(1, math.floor(t_raw))
     return min(t, MAX_T), t > MAX_T
@@ -192,7 +211,8 @@ def dpfw_schedule(
     moves by at most (|(q_i - q_j)(z')| + |(q_i - q_j)(z)|) / n <= ||q_i - q_j||_1 / n.
 
     T is floored, clamped to >= 1 and capped at ``MAX_T``; gamma is clamped
-    to <= 1 so the iterate update stays a convex combination.
+    to <= 1 so the iterate update stays a convex combination.  An alpha
+    log(1/delta) that underflows to 0 leaves T's denominator 0 and is refused.
     """
     a = as_alpha(alpha)
     if not (d1 > 0.0 and dinf > 0.0):
@@ -201,6 +221,10 @@ def dpfw_schedule(
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m_queries}, n={n}")
     base = dinf if use_inf_diameter else d1
     log_delta = math.log(1.0 / budget.delta)
+    if not 32.0 * a * log_delta > 0.0:
+        raise DegenerateSchedule(
+            f"32 alpha log(1/delta) underflows to 0 at alpha={a}, delta={budget.delta}"
+        )
     t_raw = (base ** 1.5) * budget.epsilon * n / (
         math.sqrt(32.0 * a * log_delta) * math.log(2.0 * m_queries)
     )
@@ -228,8 +252,8 @@ def dpam_schedule(
     run, which is what the Renyi accounting consumes.
     """
     a = as_alpha(alpha)
-    if not (width > 0.0):
-        raise DegenerateSchedule(f"width must be positive, got {width}")
+    if not (0.0 < width < math.inf):
+        raise DegenerateSchedule(f"width must be finite and positive, got {width}")
     if k < 2:
         raise ValidationError(f"need k >= 2, got {k}")
     if n < 1:

@@ -27,24 +27,6 @@ from .entropy import softmax
 from .errors import ValidationError
 from .mechanisms import NoiseStream
 
-_MC_CHUNK = 1 << 15
-
-
-def _mc_mean(samples: int, draw) -> tuple[float, float]:
-    """(mean, stderr) of the values ``draw(chunk)`` returns, in chunks of at most _MC_CHUNK."""
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        vals = draw(chunk)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += chunk
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return mean, float(np.sqrt(var / samples))
-
 
 def _check_dims(v: np.ndarray, w: QueryWorkload):
     if v.shape[0] != w.k:
@@ -84,8 +66,8 @@ def smoothed_gradient_oracle(d, emp, w: QueryWorkload, xi) -> tuple[np.ndarray, 
 
     ``xi`` is the oracle's noise row, one N(0, sigma^2) value per coordinate
     of d, and must have d's shape.  It does not depend on the data, so a
-    caller may draw it ahead of the scan (DPAM draws a block of iterations at
-    a time).  Scans the rows for the maximizer of <q, emp - d + xi> and
+    caller may draw it ahead of the scan (DPAM takes it from
+    ``mechanisms.noise_rows``).  Scans the rows for the maximizer of <q, emp - d + xi> and
     returns (the negated winning row, its index): the row is a descent
     direction for the smoothed objective.  Ties (a null event for sigma > 0)
     resolve to the lowest row index.  A row of zeros (sigma = 0) makes the
@@ -115,12 +97,10 @@ def gaussian_width(w: QueryWorkload, samples: int, rng: NoiseStream) -> WidthEst
     # ~1 MiB of products at a time; the stream reads one sequence, so the
     # draws do not depend on the step
     step = max(1, (1 << 17) // w.m)
-
-    def draw(chunk):
-        return np.concatenate([
-            (rng.gaussian(1.0, size=(min(step, chunk - lo), w.k)) @ w.queries.T).max(axis=1)
-            for lo in range(0, chunk, step)
-        ])
-
-    mean, stderr = _mc_mean(samples, draw)
-    return WidthEstimate(mean=mean, stderr=stderr, samples=samples)
+    vals = np.concatenate([
+        (rng.gaussian(1.0, size=(min(step, samples - lo), w.k)) @ w.queries.T).max(axis=1)
+        for lo in range(0, samples, step)
+    ])
+    mean = float(vals.sum()) / samples
+    var = max(0.0, (float((vals * vals).sum()) - samples * mean * mean) / (samples - 1))
+    return WidthEstimate(mean=mean, stderr=float(np.sqrt(var / samples)), samples=samples)

@@ -1,9 +1,14 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dpqr.core import PrivacyBudget
+from dpqr.bench import gen_workload
+from dpqr.core import PrivacyBudget, new_dataset, new_simplex
+from dpqr.dpam import release_dpam
+from dpqr.dpfw import release_dpfw
 from dpqr.errors import DegenerateSchedule, HypothesisViolated, ValidationError
 from dpqr.mechanisms import (
     MAX_T,
@@ -14,6 +19,7 @@ from dpqr.mechanisms import (
     dpam_schedule,
     dpfw_schedule,
     gaussian_rdp,
+    noise_rows,
     optimal_rdp_order,
     rdp_to_dp,
     report_noisy_max,
@@ -93,6 +99,24 @@ class TestNoiseStream:
         sub = root.substream("noise")
         again = NoiseStream(5, "root/noise")
         assert np.array_equal(sub.uniform(size=4), again.uniform(size=4))
+
+
+@pytest.mark.parametrize("method", ["laplace", "gaussian"])
+@pytest.mark.parametrize(
+    "width, count",
+    [
+        (1, 8192 + 5),  # blocks of 8192 rows: one full, one of 5
+        (7, 1170),  # blocks of 1170 rows: exactly one
+        (7, 2 * 1170 + 4),  # two full, one of 4
+        (8200, 3),  # width > 8192: one row per block
+    ],
+)
+def test_noise_rows_match_one_draw_per_row(method, width, count):
+    rows = list(noise_rows(getattr(NoiseStream(31, "rows"), method), 0.7, count, width))
+    ref = NoiseStream(31, "rows")
+    assert len(rows) == count
+    for row in rows:
+        assert row.tobytes() == getattr(ref, method)(0.7, size=width).tobytes()
 
 
 class TestLaplace:
@@ -210,6 +234,12 @@ class TestSchedules:
         with pytest.raises(DegenerateSchedule):
             FWSchedule(T=20, gamma=0.3, lam=lam)
 
+    def test_fw_underflowing_alpha_log_delta_refused(self):
+        # 32 alpha log(1/delta) underflows to 0, so T's denominator would be 0
+        budget = PrivacyBudget(1.0, 1.0 - 1e-16)
+        with pytest.raises(DegenerateSchedule, match=r"underflows to 0 at alpha=1e-310"):
+            dpfw_schedule(budget, 1e-310, 2.0, 2.0, 10, 2000)
+
     def test_fw_cap(self):
         s = dpfw_schedule(BUDGET, 0.1, 2.0, 2.0, 10, 10**9)
         assert s.T == MAX_T and s.capped
@@ -238,7 +268,7 @@ class TestSchedules:
     def test_am_invalid(self):
         with pytest.raises(ValidationError, match="need k >= 2, got 1"):
             dpam_schedule(BUDGET, 0.5, width=2.0, k=1, n=100)
-        with pytest.raises(DegenerateSchedule):
+        with pytest.raises(DegenerateSchedule, match="width must be finite and positive, got inf"):
             dpam_schedule(BUDGET, 0.5, width=math.inf, k=8, n=100)
         with pytest.raises(DegenerateSchedule):
             dpam_schedule(BUDGET, 0.5, width=0.0, k=8, n=100)
@@ -256,6 +286,62 @@ class TestSchedules:
     def test_am_eta_offset_must_be_finite(self):
         with pytest.raises(DegenerateSchedule):
             AMSchedule(T=1, sigma=1.0, eta_offset=math.inf)
+
+    def test_tiny_epsilon_runs_one_iteration(self):
+        # both iteration formulas underflow to 0.0 and clamp to T = 1
+        budget = PrivacyBudget(1e-300, 1e-6)
+        assert dpfw_schedule(budget, 0.1, 2.0, 2.0, 10, 2000).T == 1
+        assert dpam_schedule(budget, 0.1, width=3.0, k=16, n=2000).T == 1
+
+    def test_subnormal_epsilon_refused_by_noise_scale(self):
+        budget = PrivacyBudget(1e-320, 1e-6)
+        with pytest.raises(DegenerateSchedule, match="need finite lam >= 0, got inf"):
+            dpfw_schedule(budget, 0.1, 2.0, 2.0, 10, 2000)
+        with pytest.raises(DegenerateSchedule, match="need finite sigma >= 0, got inf"):
+            dpam_schedule(budget, 0.1, width=3.0, k=16, n=2000)
+
+
+# the extreme-input grid: alpha x eps x delta x n, each release calibrated
+# and on an explicit T = 5 schedule
+GRID_ALPHAS = (5e-324, 1e-310, 1e-308, 1e300, 1.7e308)
+GRID_EPSILONS = (1e-300, 1e-320)
+GRID_DELTAS = (5e-324, 1e-300, 1.0 - 1e-16)
+GRID_RELEASES = {
+    "dpfw": (release_dpfw, FWSchedule(T=5, gamma=0.05, lam=0.3)),
+    "dpam": (release_dpam, AMSchedule(T=5, sigma=0.1, eta_offset=2.0)),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(GRID_RELEASES))
+@pytest.mark.parametrize("explicit", [False, True], ids=["calibrated", "t5"])
+def test_extreme_inputs_release_or_refuse(algo, explicit):
+    release, schedule = GRID_RELEASES[algo]
+    workload = gen_workload(16, 8, "random_sign", NoiseStream(1, "grid-workload"))
+    outcomes = {}
+    for alpha, eps, delta, n in itertools.product(
+        GRID_ALPHAS, GRID_EPSILONS, GRID_DELTAS, (1, 2)
+    ):
+        data = new_dataset([3, 11][:n])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = release(
+                    data, workload, PrivacyBudget(eps, delta), NoiseStream(5, "grid"),
+                    alpha=alpha, schedule=schedule if explicit else None,
+                )
+            except (ValidationError, DegenerateSchedule) as exc:
+                outcomes[alpha, eps, delta, n] = type(exc).__name__
+                continue
+        assert np.isfinite(report.p_priv).all()
+        new_simplex(report.p_priv)
+        outcomes[alpha, eps, delta, n] = "release"
+    assert len(outcomes) == 60
+    # delta = 5e-324 is refused by the budget, before any release starts
+    assert {o for (_, _, d, _), o in outcomes.items() if d == 5e-324} == {"ValidationError"}
+    if algo == "dpfw" and not explicit:
+        # 32 alpha log(1/delta) underflows to 0 and the calibration refuses it
+        for alpha, eps, n in itertools.product((5e-324, 1e-310), GRID_EPSILONS, (1, 2)):
+            assert outcomes[alpha, eps, 1.0 - 1e-16, n] == "DegenerateSchedule"
 
 
 class TestComposition:

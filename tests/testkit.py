@@ -25,7 +25,7 @@ from dpqr.core import (
 from dpqr.entropy import softmax
 from dpqr.errors import ValidationError
 from dpqr.mechanisms import FWSchedule, NoiseStream
-from dpqr.objective import _check_dims, _mc_mean, frank_wolfe_gap, max_query_error
+from dpqr.objective import _check_dims, frank_wolfe_gap, max_query_error
 
 
 class GridTooLarge(ValidationError):
@@ -38,6 +38,7 @@ class NonConvergence(RuntimeError):
 
 _GRID_CAP = 10_000_000
 _EVAL_CHUNK = 1 << 16
+_MC_CHUNK = 1 << 15
 # iterate floor used only inside gradient evaluations; the objective itself
 # is finite at exact zeros (0 log 0 = 0)
 _GRAD_FLOOR = 1e-18
@@ -266,6 +267,22 @@ def kl_divergence(d, anchor) -> float:
 def primal_objective(d, ref, w: QueryWorkload) -> float:
     """max over rows of <q, ref - d>; d may be any real vector (not just simplex)."""
     return max_query_error(ref, d, w)
+
+
+def _mc_mean(samples: int, draw) -> tuple[float, float]:
+    """(mean, stderr) of the values ``draw(chunk)`` returns, in chunks of at most _MC_CHUNK."""
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        chunk = min(_MC_CHUNK, samples - done)
+        vals = draw(chunk)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += chunk
+    mean = total / samples
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, float(np.sqrt(var / samples))
 
 
 def smoothed_primal_mc(

@@ -5,11 +5,12 @@ Usage: python tools/cli_outputs.py OUT_DIR
 Each command runs in-process through ``dpqr.cli.main`` with OUT_DIR as the
 working directory: gen-workload for three workload families, gen-data from a
 kind and from a distribution file, run for both algorithms on each workload
-(plain, with --true-dist and with --no-noise), sample, and bench on a tiny
-plan with 1 and 2 workers.  Every seeded command is deterministic, so the
+(plain, with --true-dist and with --no-noise) and at eps = 1e-300, sample,
+and bench on a tiny plan with 1 and 2 workers.  Every seeded command is deterministic, so the
 listing printed on stdout, one ``sha256  relative/path`` line per file, is a
 fingerprint of the CLI's outputs.  A fixed list of failing commands follows
-(bad input files, bad plan fields, bad flags, subnormal alpha), one
+(bad input files, bad plan fields, bad flags, extreme alpha, delta and
+epsilon), one
 ``exit  sha256(stderr)  name`` line each, so the exit codes and messages are
 fingerprinted too; an exception that escapes ``main`` shows as
 ``raised <Type>`` in place of the exit code.  To check that a change leaves
@@ -96,6 +97,13 @@ def commands() -> list[list[str]]:
                 run + ["--true-dist", "dist.json", "--out", f"run_{algo}_{name}_true.json"],
                 run + ["--no-noise", "--out", f"run_{algo}_{name}_nonoise.json"],
             ]
+    # the iteration formula underflows to 0.0, and the run clamps it to T = 1
+    cmds += [
+        ["run", "--algo", algo, "--data", "data_kind.txt", "--workload", "workload_sign.json",
+         "--eps", "1e-300", "--delta", "1e-6", "--seed", "4",
+         "--out", f"run_{algo}_eps_1e-300.json"]
+        for algo in ("dpfw", "dpam")
+    ]
     cmds.append(["sample", "--report", "run_dpam_sign.json", "--count", "65536", "--seed", "5",
                  "--out", "sample.txt"])
     cmds += [
@@ -130,8 +138,18 @@ def failing_commands() -> list[tuple[str, list[str]]]:
     ]
     cases += [
         (f"{algo}-alpha-{alpha}", run(algo, "--alpha", alpha))
-        for algo, alpha in (("dpam", "1e-310"), ("dpam", "5e-324"), ("dpfw", "5e-324"))
+        for algo, alpha in (
+            ("dpam", "1e-310"), ("dpam", "5e-324"), ("dpfw", "5e-324"),
+            ("dpfw", "1e-310"), ("dpam", "1.7e308"),
+        )
     ]
+    cases += [
+        ("flag-delta-5e-324", run("dpfw", "--delta", "5e-324")),
+        # 32 alpha log(1/delta) underflows to 0
+        ("dpfw-alpha-1e-310-delta-1-1e-16",
+         run("dpfw", "--alpha", "1e-310", "--delta", "0.9999999999999999")),
+    ]
+    cases += [(f"{algo}-eps-1e-320", run(algo, "--eps", "1e-320")) for algo in ("dpfw", "dpam")]
     return cases
 
 
