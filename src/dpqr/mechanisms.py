@@ -115,8 +115,8 @@ def report_noisy_max(scores, noise) -> int:
     ``noise`` holds one i.i.d. Laplace(scale) value per score, in row order,
     and must have the shape of ``scores``.  It does not depend on the data, so
     a caller may draw it ahead of the scores (DPFW takes it from
-    ``noise_rows``) and the mechanism is the same.  The selection is (R/scale)-DP
-    when R bounds the range max_i ds_i - min_i ds_i of the per-row score
+    ``noise_rows``) and the mechanism is the same.  The selection is
+    (R/scale)-DP when R bounds the range max_i ds_i - min_i ds_i of the per-row score
     change ds between neighbouring inputs: argmax is shift-invariant, so a
     per-score sensitivity bound L gives only R <= 2L.  Exact ties (certain at
     scale 0) resolve to the lowest index.
