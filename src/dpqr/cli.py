@@ -98,10 +98,35 @@ def load_workload(path: str) -> QueryWorkload:
     return new_workload(np.asarray(rows, dtype=float))
 
 
+_WRITE_CHUNK = 1 << 16
+
+
 def save_dataset(data: Dataset, k: int, path: str):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"k={k}\n")
-        fh.writelines(f"{z}\n" for z in data.points.tolist())
+    """Write the "k=<k>" header, then each index in decimal on its own line.
+
+    A chunk of points at a time is laid out as one row per point: the digits
+    right-aligned in w columns (w digits of the largest index), then a
+    newline.  Leading zeros are masked out, so the bytes are those of one
+    f"{z}\\n" per point; the chunk keeps the buffers near 2 MiB.
+    """
+    points = data.points
+    width = len(str(int(points.max())))
+    # an index below 10**j has no digit in the column j places left of its last
+    lead = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    with open(path, "wb") as fh:
+        fh.write(f"k={k}\n".encode())
+        for lo in range(0, points.size, _WRITE_CHUNK):
+            chunk = points[lo : lo + _WRITE_CHUNK]
+            buf = np.empty((chunk.size, width + 1), dtype=np.uint8)
+            buf[:, width] = ord("\n")
+            rest = chunk
+            for col in range(width - 1, -1, -1):
+                high = rest // 10
+                buf[:, col] = rest - high * 10 + ord("0")
+                rest = high
+            keep = np.ones(buf.shape, dtype=bool)
+            keep[:, : width - 1] = chunk[:, None] >= lead
+            fh.write(np.compress(keep.ravel(), buf.ravel()))
 
 
 def load_dataset(path: str) -> tuple[Dataset, int]:

@@ -17,7 +17,7 @@ from dpqr.dpfw import optimal_alpha
 from dpqr.core import PrivacyBudget
 from dpqr.errors import ValidationError
 from dpqr.report import RunReport
-from testkit import save_distribution
+from testkit import save_dataset_lines, save_distribution
 
 
 def write_plan(path, **overrides):
@@ -79,6 +79,25 @@ class TestFileFormats:
         again, k = load_dataset(str(path))
         assert k == 4
         assert np.array_equal(d.points, again.points)
+
+    @pytest.mark.parametrize("points, k", [
+        ([0, 0, 0], 1),
+        ([5], 6),
+        ([9, 10, 99, 100, 0, 9, 100, 10], 101),
+        ([2**62 + 12345, 0, 2**62 - 1, 7], 2**62 + 12346),
+        *[(np.random.default_rng(n).integers(0, 12_345, n), 12_345)
+          for n in (2**16 - 1, 2**16, 2**16 + 3, 3 * 2**16 + 5)],
+    ], ids=["k1-zeros", "n1", "digit-edges", "near-2^62",
+            "chunk-minus-1", "chunk", "chunk-plus-3", "3-chunks-plus-5"])
+    def test_dataset_writer_matches_per_line_reference(self, tmp_path, points, k):
+        d = new_dataset(points)
+        path, ref = tmp_path / "d.txt", tmp_path / "ref.txt"
+        save_dataset(d, k, str(path))
+        save_dataset_lines(d, k, str(ref))
+        assert path.read_bytes() == ref.read_bytes()
+        again, k_again = load_dataset(str(path))
+        assert k_again == k
+        assert np.array_equal(again.points, d.points)
 
     def test_dataset_bad_index_names_line(self, tmp_path):
         path = tmp_path / "d.txt"

@@ -168,8 +168,11 @@ class TestDualToPrimal:
             assert np.abs(out.values - p).max() < 1e-12
 
     def test_non_finite_output_refused(self):
-        # inf - inf inside the softmax: the map raises rather than return NaN
-        with pytest.raises(DegenerateSchedule, match="softmax of q / alpha is not finite"):
+        # inf - inf inside the softmax: the map raises rather than return NaN,
+        # and numpy's warning, which only the releases silence, is printed
+        with pytest.warns(RuntimeWarning), pytest.raises(
+            DegenerateSchedule, match="softmax of q / alpha is not finite"
+        ):
             dual_to_primal(np.array([math.inf, 0.0]), 1.0)
 
     def test_shift_invariance(self):

@@ -20,8 +20,8 @@ def test_cli_outputs_lists_every_file_it_writes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = [line.split("  ") for line in proc.stdout.splitlines()]
     files = [line for line in lines if len(line) == 2]
-    # 2 inputs, 3 workloads, 2 datasets, 20 reports, 1 sample, 2 bench results
-    assert len(files) == 30
+    # 2 inputs, 3 workloads, 3 datasets, 20 reports, 1 sample, 2 bench results
+    assert len(files) == 31
     for digest, name in files:
         path = tmp_path / "out" / name
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

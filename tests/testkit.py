@@ -7,7 +7,8 @@ and exhaustive simplex grids for the primal/dual optima at desk scale.  It
 also holds the entropy-regularized primal and dual objectives, and the
 gradient of the dual, which those checks evaluate and no release computes,
 together with the entropy functionals, the Monte Carlo smoothed primal, the
-Frank-Wolfe gap replay and the distribution writer that only tests call.
+Frank-Wolfe gap replay, the distribution writer that only tests call, and
+the per-line dataset writer that the vectorized one must match byte for byte.
 """
 
 from __future__ import annotations
@@ -330,6 +331,13 @@ def fw_gaps(
 
 def save_distribution(p: SimplexVector, path: str):
     _write_json({"k": p.k, "values": [float(x) for x in p.values]}, path)
+
+
+def save_dataset_lines(data: Dataset, k: int, path: str):
+    """Dataset writer by one formatted line per point: the reference for cli.save_dataset."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"k={k}\n")
+        fh.writelines(f"{z}\n" for z in data.points.tolist())
 
 
 def regularized_primal(d, ref, w: QueryWorkload, alpha) -> float:

@@ -4,7 +4,8 @@ Usage: python tools/cli_outputs.py OUT_DIR
 
 Each command runs in-process through ``dpqr.cli.main`` with OUT_DIR as the
 working directory: gen-workload for three workload families, gen-data from a
-kind and from a distribution file, run for both algorithms on each workload
+kind and from a distribution file (once at 200,003 points, several of the
+dataset writer's chunks), run for both algorithms on each workload
 (plain, with --true-dist and with --no-noise) and at eps = 1e-300, sample,
 and bench on a tiny plan with 1 and 2 workers.  Every seeded command is deterministic, so the
 listing printed on stdout, one ``sha256  relative/path`` line per file, is a
@@ -86,6 +87,9 @@ def commands() -> list[list[str]]:
          "--out", "data_kind.txt"],
         ["gen-data", "--dist", "dist.json", "--n", "400", "--seed", "3",
          "--out", "data_dist.txt"],
+        # spans four of the dataset writer's 2^16-point chunks, the last one partial
+        ["gen-data", "--dist", "dist.json", "--n", "200003", "--seed", "3",
+         "--out", "data_chunks.txt"],
     ]
     for algo in ("dpfw", "dpam"):
         for name in WORKLOADS:
